@@ -256,7 +256,8 @@ class GeneralConstants:
 
     The query-side score factorization is S = CQ1 @ WQ @ CQ2.T with the key
     weight folded into CQ2; the key-side one is S = CK1 @ WK.T @ CK2.T with
-    the query weight folded into CK1. C3 = XV @ WVstar is shared.
+    the query weight folded into CK1. C3 = XV @ WVstar is shared. WQ and WK
+    are the effective weights the constants were composed at.
     """
 
     CK1: np.ndarray
@@ -264,6 +265,19 @@ class GeneralConstants:
     CQ1: np.ndarray
     CQ2: np.ndarray
     C3: np.ndarray
+    WQ: np.ndarray
+    WK: np.ndarray
+
+    def sides(self, Y):
+        """The two special-case problems (instance, weight): Q at WQ, K at WK.T.
+
+        Both share the score matrix S. The key side's weight gradient is
+        dL/d(WK.T), so its transpose is dL/dWK.
+        """
+        return (
+            (AttentionInstance(C1=self.CQ1, C2=self.CQ2, C3=self.C3, Y=Y), self.WQ),
+            (AttentionInstance(C1=self.CK1, C2=self.CK2, C3=self.C3, Y=Y), self.WK.T),
+        )
 
 
 def compose_special_constants(g, alpha, r, adapter_v=None):
@@ -299,7 +313,7 @@ def adapted_general_weights(g, adpQ, adpK):
 
 
 def compose_general_constants(g, adpQ, adpK):
-    """Build (CK1, CK2, CQ1, CQ2, C3) from the raw instance and both adapters.
+    """Build (CK1, CK2, CQ1, CQ2, C3, WQ, WK) from the instance and adapters.
 
     Must be recomputed whenever either adapter changes: CK1 bakes in the
     current query weight and CQ2 the current key weight.
@@ -315,6 +329,8 @@ def compose_general_constants(g, adpQ, adpK):
         CQ1=g.XQ,
         CQ2=g.XK @ WK,
         C3=g.XV @ g.WVstar,
+        WQ=WQ,
+        WK=WK,
     )
 
 

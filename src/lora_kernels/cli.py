@@ -30,9 +30,13 @@ from .lowrank import (
     grad_from_f_factor,
 )
 from .matio import load_bundle, save_bundle, save_matrix
-from .oracle import dense_kron_grad_oracle, fd_grad, fd_grad_adapter
-
-KRON_L, KRON_D = 8, 3
+from .oracle import (
+    KRON_GUARD_D,
+    KRON_GUARD_L,
+    dense_kron_grad_oracle,
+    fd_grad,
+    fd_grad_adapter,
+)
 
 
 def _int_list(text):
@@ -174,7 +178,7 @@ def _cmd_check(args):
     failures += 0 if ok else 1
     print(f"finite differences: max rel err {err_fd:.3e} {'PASS' if ok else 'FAIL'}")
 
-    if inst.L <= KRON_L and inst.d <= KRON_D:
+    if inst.L <= KRON_GUARD_L and inst.d <= KRON_GUARD_D:
         ko = dense_kron_grad_oracle(inst, Wstar, adp)
         err_k = max(
             float(np.abs(pair.GA - ko.GA).max()), float(np.abs(pair.GB - ko.GB).max())
@@ -184,7 +188,8 @@ def _cmd_check(args):
         print(f"kronecker route:    max abs err {err_k:.3e} {'PASS' if ok else 'FAIL'}")
     else:
         print(
-            f"kronecker route:    skipped (needs L <= {KRON_L} and d <= {KRON_D})"
+            "kronecker route:    skipped "
+            f"(needs L <= {KRON_GUARD_L} and d <= {KRON_GUARD_D})"
         )
     return 0 if failures == 0 else 1
 

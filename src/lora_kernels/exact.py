@@ -14,9 +14,11 @@ with the adapter gradients read off as dL/dA = B.T @ dL/dW and
 dL/dB = dL/dW @ A.T. The p matrices store column j against softmax row j,
 so the matrix sandwiched between C1.T and C2 is p.T, whose row j is p_j.
 
-The key-side gradients of the general problem evaluate the same pipeline at
-the transposed key weight and route the resulting d^2 gradient vector
-through the vec-transpose permutation before projecting onto the adapter.
+The general problem is two copies of the special case that share one score
+matrix: the query side at WQ and the key side at WK.T, whose weight gradient
+is transposed to give dL/dWK. One p therefore serves both sides, and only
+the sandwich constants differ. The transpose is a plain .T; transpose_perm
+and PermutationMap serve only criterion 8 and the tests.
 """
 
 from dataclasses import dataclass
@@ -25,18 +27,15 @@ import numpy as np
 
 from . import instrument
 from .attention import (
-    AttentionInstance,
     adapted_weight,
     check_dense_guard,
     compose_general_constants,
     forward_f,
-    general_scores,
     q_from_c,
     residual_from_f,
-    softmax_rows,
 )
 from .errors import DimensionError, SizeGuardError
-from .tensorops import kronecker, matrixize, transpose_perm, vectorize
+from .tensorops import kronecker
 
 # jacobian_blocks builds d^2 x rd dense matrices; keep it to small d.
 JACOBIAN_GUARD_D = 6
@@ -60,6 +59,13 @@ class GradientPair:
 
     GA: np.ndarray
     GB: np.ndarray
+
+
+def project(adp, M):
+    """Adapter gradients (B.T @ M, M @ A.T) from the weight gradient M."""
+    instrument.count_matmul(adp.r, adp.d, adp.d)
+    instrument.count_matmul(adp.d, adp.d, adp.r)
+    return GradientPair(GA=adp.B.T @ M, GB=M @ adp.A.T)
 
 
 def split_p(f, q):
@@ -118,46 +124,22 @@ def grad_adapters_special(inst, Wstar, adp):
     """Exact (dL/dA, dL/dB) for the query-side special case."""
     if adp.d != inst.d:
         raise DimensionError("adapter dimension does not match the instance")
-    W = adapted_weight(Wstar, adp)
-    M = grad_wrt_W(inst, W)
-    instrument.count_matmul(adp.r, adp.d, adp.d)
-    instrument.count_matmul(adp.d, adp.d, adp.r)
-    return GradientPair(GA=adp.B.T @ M, GB=M @ adp.A.T)
+    return project(adp, grad_wrt_W(inst, adapted_weight(Wstar, adp)))
 
 
 def grad_adapters_general(g, adpQ, adpK):
     """Exact gradient pairs (Q-side, K-side) of the two-sided problem.
 
-    One softmax-Jacobian computation serves both sides (the score matrix is
-    shared); only the sandwich constants differ. The key side differentiates
-    with respect to WK.T, so its d^2 gradient vector passes through the
-    vec-transpose permutation before the adapter projections.
+    p is computed once on the query side and sandwiched between each side's
+    constants. The query weight gradient carries the adapter scale alpha/r;
+    the key side's is transposed back from dL/d(WK.T).
     """
     consts = compose_general_constants(g, adpQ, adpK)
-    d = g.d
-    check_dense_guard(g.L)
-    S = general_scores(g, adpQ, adpK)
-    f = softmax_rows(S)
-    spec = AttentionInstance(C1=consts.CQ1, C2=consts.CQ2, C3=consts.C3, Y=g.Y)
-    c = residual_from_f(f, spec)
-    q = q_from_c(c, spec)
-    pm = split_p(f, q)
-    g_rows = pm.p.T
-
-    NQ = _sandwich(consts.CQ1, g_rows, consts.CQ2)
-    sQ = adpQ.scale
-    pair_q = GradientPair(GA=sQ * (adpQ.B.T @ NQ), GB=sQ * (NQ @ adpQ.A.T))
-
-    NK = _sandwich(consts.CK1, g_rows, consts.CK2)
-    T = transpose_perm(d, d)
-    dW_K = matrixize(T.apply(vectorize(NK)), d, d)
-    pair_k = GradientPair(GA=adpK.B.T @ dW_K, GB=dW_K @ adpK.A.T)
-    instrument.count_matmul(adpQ.r, d, d)
-    instrument.count_matmul(d, d, adpQ.r)
-    instrument.count_matmul(adpK.r, d, d)
-    instrument.count_matmul(d, d, adpK.r)
-    instrument.count(2 * d * d)
-    return pair_q, pair_k
+    (inst_q, WQ), (inst_k, _) = consts.sides(g.Y)
+    g_rows = compute_p(inst_q, WQ).p.T
+    NQ = _sandwich(inst_q.C1, g_rows, inst_q.C2)
+    NK = _sandwich(inst_k.C1, g_rows, inst_k.C2)
+    return project(adpQ, adpQ.scale * NQ), project(adpK, NK.T)
 
 
 def jacobian_blocks(adp):

@@ -21,21 +21,18 @@ from .attention import (
     forward_f,
     softmax_rows,
 )
-from .errors import (
-    ApproxBreakdownError,
-    DimensionError,
-    NormBoundError,
-    SizeGuardError,
-)
+from .errors import ApproxBreakdownError, DimensionError, SizeGuardError
 from .exact import grad_adapters_special
 from .instrument import loglog_slope
 from .lowrank import (
     PolyApproxConfig,
     approx_f_poly,
+    approx_grad_special,
     grad_from_f_factor,
     monomial_count,
     select_degree,
 )
+from .tensorops import check_norm_bound
 
 BENCH_HEADER = ("L", "path", "wall_ns", "ops", "slope")
 SWEEP_HEADER = ("gamma", "degree", "rank_k1", "f_err", "grad_err", "infeasible")
@@ -126,15 +123,8 @@ class ReductionInstance:
                 raise DimensionError(f"{name} must be {(L, r)}")
         if self.X.shape != (r, r):
             raise DimensionError(f"X must be {(r, r)}")
-        # Allow the last ulp so instances rescaled to sit exactly at the
-        # bound pass their own invariant.
-        slack = self.b_bound * (1.0 + 1e-12)
-        if np.abs(self.A1 @ self.X).max() > slack:
-            raise NormBoundError(
-                "A1 @ X", float(np.abs(self.A1 @ self.X).max()), self.b_bound
-            )
-        if np.abs(self.A2).max() > slack:
-            raise NormBoundError("A2", float(np.abs(self.A2).max()), self.b_bound)
+        check_norm_bound("A1 @ X", self.A1 @ self.X, self.b_bound)
+        check_norm_bound("A2", self.A2, self.b_bound)
 
     @property
     def L(self):
@@ -196,21 +186,9 @@ def embed_attlgc(ri, d):
     B = np.vstack([np.eye(r), np.zeros((d - r, r))])
     A = np.hstack([ri.X, np.zeros((r, d - r))])
     adp = LoraAdapter(B=B, A=A, r=r, alpha=float(r))
-    for name, mat in (("C2", inst.C2), ("C1 @ B @ A", C1 @ B @ A)):
-        measured = float(np.abs(mat).max())
-        if measured > ri.b_bound * (1.0 + 1e-12):
-            raise NormBoundError(name, measured, ri.b_bound)
+    check_norm_bound("C2", inst.C2, ri.b_bound)
+    check_norm_bound("C1 @ B @ A", C1 @ B @ A, ri.b_bound)
     return inst, adp
-
-
-def _bench_exact(inst, Wstar, adp):
-    grad_adapters_special(inst, Wstar, adp)
-
-
-def _bench_approx(inst, Wstar, adp, cfg):
-    W = adapted_weight(Wstar, adp)
-    f_lr = approx_f_poly(inst, W, cfg)
-    grad_from_f_factor(f_lr, inst, adp)
 
 
 def bench_scaling(L_list, d, r, cfg, repeats=3, seed=0):
@@ -221,20 +199,14 @@ def bench_scaling(L_list, d, r, cfg, repeats=3, seed=0):
     is fitted per path and repeated in every row of that path. Sizes the
     dense guard refuses are recorded in result.skipped for the exact path.
     """
-    if cfg.degree is None:
-        cfg = PolyApproxConfig(
-            gamma=cfg.gamma,
-            degree=select_degree(cfg, d),
-            eps_target=cfg.eps_target,
-        )
     streams = np.random.SeedSequence(seed).spawn(len(L_list))
     per_path = {"exact": [], "approx": []}
     skipped = []
     for L, stream in zip(L_list, streams):
         inst, adp, Wstar = gen_instance(stream, L, d, r, cfg.gamma)
         runs = {
-            "exact": lambda: _bench_exact(inst, Wstar, adp),
-            "approx": lambda: _bench_approx(inst, Wstar, adp, cfg),
+            "exact": lambda: grad_adapters_special(inst, Wstar, adp),
+            "approx": lambda: approx_grad_special(inst, Wstar, adp, cfg),
         }
         for path, fn in runs.items():
             walls = []

@@ -54,12 +54,6 @@ def alloc(n_elements):
             tally.max_alloc = n_elements
 
 
-def track(arr):
-    """Register a freshly materialized array and return it unchanged."""
-    alloc(arr.size)
-    return arr
-
-
 def loglog_slope(sizes, costs):
     """Least-squares slope of log(cost) against log(size).
 

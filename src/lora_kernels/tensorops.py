@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteError, NormBoundError
 from . import instrument
 
 # Refuse Kronecker products whose element count would exceed this.
@@ -31,8 +31,19 @@ def as_matrix(a, name="matrix"):
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.size and not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains NaN or infinite entries")
+        raise NonFiniteError(f"{name} contains NaN or infinite entries")
     return arr
+
+
+def check_norm_bound(name, mat, bound):
+    """Raise NormBoundError when max |mat| exceeds bound.
+
+    The relative slack of 1e-12 lets instances rescaled to sit exactly at
+    the bound pass on the last float64 ulp.
+    """
+    measured = float(np.abs(mat).max())
+    if measured > bound * (1.0 + 1e-12):
+        raise NormBoundError(name, measured, bound)
 
 
 def vectorize(X):

@@ -24,6 +24,7 @@ from lora_kernels.attention import (
 )
 from lora_kernels.errors import (
     DimensionError,
+    NonFiniteError,
     ScoreOverflowError,
     SizeGuardError,
 )
@@ -64,8 +65,14 @@ class TestInstanceTypes:
         C = np.zeros((2, 2))
         bad = C.copy()
         bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteError):
             AttentionInstance(C1=bad, C2=C, C3=C, Y=C)
+        with pytest.raises(NonFiniteError):
+            LoraAdapter(B=np.full((2, 1), np.inf), A=np.zeros((1, 2)), r=1, alpha=1.0)
+        with pytest.raises(NonFiniteError):
+            GeneralInstance(
+                XQ=C, XK=C, XV=C, WQstar=C, WKstar=bad, WVstar=C, Y=C
+            )
 
     def test_adapter_rank_bounds(self):
         with pytest.raises(DimensionError):

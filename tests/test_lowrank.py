@@ -1,6 +1,8 @@
 """Factored gradient chain: f/q/p factors, polynomial and SVD backends."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from lora_kernels.attention import (
     adapted_general_weights,
     adapted_weight,
     compose_general_constants,
+    compose_special_constants,
     forward_f,
     residual_c,
     score_q,
@@ -169,13 +172,6 @@ class TestPolyBackend:
             approx_f_poly(inst, W, cfg)
         assert info.value.bound == 0.5
         assert info.value.measured > 0.5
-
-    def test_norm_check_can_be_skipped(self):
-        inst, adp, Wstar = gen_instance(2, 8, 3, 1, 1.0)
-        W = adapted_weight(Wstar, adp)
-        cfg = PolyApproxConfig(gamma=0.5, degree=2, eps_target=1e-3)
-        f_lr = approx_f_poly(inst, W, cfg, check_norms=False)
-        assert f_lr.k == monomial_count(3, 2)
 
     def test_negative_normalizer_breaks_down(self):
         # Degree-1 truncation of exp at inner product -2 is negative, so the
@@ -461,3 +457,56 @@ class TestApproxGeneral:
         with pytest.raises(NormBoundError) as info:
             approx_grad_general(g, adpQ, adpK, cfg)
         assert info.value.name.startswith(("Q side", "K side"))
+
+    def test_query_side_matches_special_path(self):
+        # With the key adapter zeroed, the general query gradients must equal
+        # the special-case path on the composed constants, off unit alpha too.
+        g, adpQ, _ = self.build(np.random.default_rng(3))
+        adpQ = LoraAdapter(B=adpQ.B, A=adpQ.A, r=1, alpha=2.5)
+        adpK = LoraAdapter(B=np.zeros((2, 1)), A=np.zeros((1, 2)), r=1, alpha=1.0)
+        gamma = 1.01 * self.measured_gamma(g, adpQ, adpK)
+        cfg = PolyApproxConfig(gamma=gamma, degree=None, eps_target=1e-3)
+        pair_q, _ = approx_grad_general(g, adpQ, adpK, cfg)
+        inst = compose_special_constants(g, alpha=adpQ.alpha, r=adpQ.r)
+        pair_s = approx_grad_special(inst, g.WQstar, adpQ, cfg)
+        assert np.abs(pair_q.GA - pair_s.GA).max() <= 1e-12
+        assert np.abs(pair_q.GB - pair_s.GB).max() <= 1e-12
+
+    def test_peak_memory_is_one_side(self):
+        # The sides run one after the other, so the two-sided call must not
+        # hold one side's factors while the other builds its own.
+        rng = np.random.default_rng(11)
+        L, d, r, gamma = 512, 4, 2, 0.5
+        g = GeneralInstance(
+            *(rng.standard_normal((L, d)) for _ in range(3)),
+            *(rng.standard_normal((d, d)) for _ in range(3)),
+            Y=rng.standard_normal((L, d)),
+        )
+        adpQ, adpK = (
+            LoraAdapter(
+                B=rng.standard_normal((d, r)),
+                A=rng.standard_normal((r, d)),
+                r=r,
+                alpha=float(r),
+            )
+            for _ in range(2)
+        )
+        # Every checked norm is linear in a common scale of XQ and XK.
+        s = gamma / self.measured_gamma(g, adpQ, adpK)
+        g = dataclasses.replace(g, XQ=s * g.XQ, XK=s * g.XK)
+        cfg = PolyApproxConfig(gamma=gamma, degree=None, eps_target=1e-3)
+        (inst_q, WQ), _ = compose_general_constants(g, adpQ, adpK).sides(g.Y)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(
+            lambda: grad_from_f_factor(approx_f_poly(inst_q, WQ, cfg), inst_q, adpQ)
+        )
+        both = peak(lambda: approx_grad_general(g, adpQ, adpK, cfg))
+        assert both <= 1.25 * one
