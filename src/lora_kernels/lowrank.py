@@ -1,18 +1,24 @@
 """Factored almost-linear gradient pipeline.
 
-Every L x L object of the exact path is replaced by an explicit rank
-factorization U @ V.T and the chain
+Every L x L object of the exact path is replaced by a factorization whose
+pieces are L x k arrays, and the chain
 
-    f  ->  q = C3 @ c.T  ->  p1, p2  ->  dL/dW
+    f  ->  q = C3 @ c.T  ->  p1, p2  ->  dL/dW = C1.T @ (p1 - p2).T @ C2
 
-is rebuilt so that only L x k arrays are ever formed. Orientations follow
-the exact path's column convention: the factored p matrices represent the
-same column-j-per-softmax-row-j layout as the dense PMatrices, so
+is rebuilt so that nothing of size L x L, and nothing of size L x k1 * d,
+is ever formed. Orientations follow the exact path's column convention:
+the factored p matrices represent the same column-j-per-softmax-row-j
+layout as the dense PMatrices.
 
-    p1 ~ (V1 @ U1.T) * (U2 @ V2.T)        (elementwise, = f.T * q)
-
-and the columnwise-Kronecker identity turns that Hadamard product into the
-single factorization (V1 ck U2) @ (U1 ck V2).T.
+* f ~ U1 @ V1.T with rank k1 (one of the two backends below).
+* q = C3 @ c.T exactly, with c = U1 (V1.T C3) - Y: rank d.
+* p1 = f.T * q = (V1 @ U1.T) * (C3 @ c.T) elementwise. By the
+  columnwise-Kronecker identity this is (V1 ck C3) @ (U1 ck c).T, of rank
+  k1 * d. It is held implicitly as a KhatriRaoFactor of the four thin
+  factors, and its sandwich C1.T @ p1.T @ C2 is contracted from them
+  directly: two L-deep products of size (d * d) x k1 and one d x d
+  contraction. Only dense(), which is test support, builds the halves.
+* p2 = f.T scaled per column by <f_j, q_j>: a LowRankFactor of rank k1.
 
 Two interchangeable sources for the f factor:
 
@@ -29,7 +35,6 @@ WK.T, with its weight gradient transposed. That transpose is a plain .T;
 transpose_perm and PermutationMap serve only criterion 8 and the tests.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,8 +65,8 @@ _DEGREE_CEILING = 10_000
 class LowRankFactor:
     """An L x L matrix held as U @ V.T with U, V of shape L x k.
 
-    Production configurations keep k well below L; the chained p1 factor
-    (rank k1 * k2) and full-rank SVD factors may exceed L and are allowed.
+    Production configurations keep k well below L; full-rank SVD factors
+    and hand-built test factors may reach or exceed L and are allowed.
     """
 
     U: np.ndarray
@@ -87,6 +92,74 @@ class LowRankFactor:
         """Materialize U @ V.T. Test support; guarded like the exact path."""
         check_dense_guard(self.L)
         return self.U @ self.V.T
+
+    def sandwich(self, C1, C2):
+        """C1.T @ M.T @ C2 for M = U @ V.T, as (C1.T @ V) @ (U.T @ C2)."""
+        left = C1.T @ self.V
+        right = self.U.T @ C2
+        instrument.count_matmul(C1.shape[1], self.L, self.k)
+        instrument.count_matmul(self.k, self.L, C2.shape[1])
+        instrument.count_matmul(C1.shape[1], self.k, C2.shape[1])
+        return left @ right
+
+
+@dataclass(frozen=True)
+class KhatriRaoFactor:
+    """An L x L matrix held as (A ck B) @ (C ck D).T = (A @ C.T) * (B @ D.T).
+
+    A and C are L x kA, B and D are L x kB, so the represented factor has
+    rank k = kA * kB. Its two L x k halves are never formed on the hot
+    path: sandwich contracts the four thin factors directly, and dense()
+    (test support) is the only place the halves are built.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+
+    def __post_init__(self):
+        shapes = [m.shape for m in (self.A, self.B, self.C, self.D)]
+        if (
+            any(len(sh) != 2 or sh[0] != shapes[0][0] for sh in shapes)
+            or shapes[0] != shapes[2]
+            or shapes[1] != shapes[3]
+        ):
+            raise DimensionError(
+                f"Khatri-Rao factors need A, C and B, D of equal shapes and "
+                f"one row count, got {shapes}"
+            )
+
+    @property
+    def L(self):
+        return self.A.shape[0]
+
+    @property
+    def k(self):
+        return self.A.shape[1] * self.B.shape[1]
+
+    def dense(self):
+        """Materialize the L x L matrix. Test support; guarded like the exact path."""
+        check_dense_guard(self.L)
+        return colwise_kronecker(self.A, self.B) @ colwise_kronecker(self.C, self.D).T
+
+    def sandwich(self, C1, C2):
+        """C1.T @ M.T @ C2 without forming either L x k half.
+
+        Entry (a, b) is sum over s < kA, t < kB of X[a, t, s] * Z[b, t, s]
+        with X[a, t, s] = sum_l C1[l, a] D[l, t] C[l, s], the rows of
+        (C1 ck D).T @ C, and Z[b, t, s] = sum_l C2[l, b] B[l, t] A[l, s],
+        the rows of (C2 ck B).T @ A. Both are L-deep products of size
+        (d * kB) x kA; the d x d contraction over (t, s) finishes it.
+        """
+        kA = self.A.shape[1]
+        X = colwise_kronecker(C1, self.D).T @ self.C
+        Z = colwise_kronecker(C2, self.B).T @ self.A
+        instrument.count_matmul(X.shape[0], self.L, kA)
+        instrument.count_matmul(Z.shape[0], self.L, kA)
+        out = X.reshape(C1.shape[1], -1) @ Z.reshape(C2.shape[1], -1).T
+        instrument.count_matmul(C1.shape[1], self.k, C2.shape[1])
+        return out
 
 
 @dataclass(frozen=True)
@@ -156,37 +229,47 @@ def select_degree(cfg, d, max_rank=None):
     raise RuntimeError(f"degree search did not terminate below {_DEGREE_CEILING}")
 
 
-def _monomials(d, g):
-    """Sorted variable-index tuples for all monomials of degree <= g."""
-    out = []
-    for t in range(g + 1):
-        out.extend(itertools.combinations_with_replacement(range(d), t))
-    return out
-
-
 def feature_map(X, g):
     """Rows of X mapped so inner products become truncated exp kernels.
 
     Column beta of the output is X^beta / sqrt(beta!) over all monomials of
     total degree <= g, giving <phi(x), phi(y)> = sum_{t<=g} <x,y>^t / t!.
+
+    Within each degree the monomials are ordered by their last (largest)
+    variable i. The degree-t columns ending in i are then the first
+    C(i+t-1, t-1) degree-(t-1) columns, each times X[:, i], so every (t, i)
+    block is one product into a contiguous slice of a k1 x L buffer. A last
+    pass scales each column by 1/sqrt(beta!), with beta! tracked alongside:
+    appending i to a monomial whose last variable is i, m times over,
+    multiplies beta! by m + 1. The constant column is neither multiplied
+    nor scaled. The result is the buffer's transpose, an L x k1 view.
     """
     X = np.asarray(X)
     L, d = X.shape
-    mons = _monomials(d, g)
-    Phi = np.empty((L, len(mons)))
+    XT = np.ascontiguousarray(X.T)
+    k1 = monomial_count(d, g)
+    Phi = np.empty((k1, L))
     instrument.alloc(Phi.size)
-    for col, idx in enumerate(mons):
-        v = np.ones(L)
-        counts = {}
-        for i in idx:
-            v = v * X[:, i]
-            counts[i] = counts.get(i, 0) + 1
-        fact = 1.0
-        for c in counts.values():
-            fact *= math.factorial(c)
-        Phi[:, col] = v / math.sqrt(fact)
-        instrument.count(L * (len(idx) + 1))
-    return Phi
+    Phi[0] = 1.0
+    fact = np.ones(k1)
+    last = np.full(k1, -1)
+    run = np.zeros(k1, dtype=int)
+    prev = 0
+    pos = 1
+    for t in range(1, g + 1):
+        start = pos
+        for i in range(d):
+            n = math.comb(i + t - 1, t - 1)
+            par, blk = slice(prev, prev + n), slice(pos, pos + n)
+            np.multiply(Phi[par], XT[i], out=Phi[blk])
+            run[blk] = np.where(last[par] == i, run[par] + 1, 1)
+            fact[blk] = fact[par] * run[blk]
+            last[blk] = i
+            pos += n
+        prev = start
+    Phi[1:] *= (1.0 / np.sqrt(fact[1:]))[:, None]
+    instrument.count(2 * L * (k1 - 1))
+    return Phi.T
 
 
 def approx_f_poly(inst, W, cfg, max_rank=None):
@@ -247,33 +330,28 @@ def approx_c(f_lr, inst):
 
 
 def approx_q(f_lr, inst):
-    """Factor of q = C3 @ c.T built from the f factor, exactly.
+    """Factor of q = C3 @ c.T built from the f factor, exactly, at rank d.
 
-    U2 = [C3 | -C3], V2 = [U1 (V1.T C3) | Y]; the product U2 @ V2.T equals
-    C3 @ (U1 V1.T C3 - Y).T with no approximation beyond f's own.
+    U2 = C3 and V2 = c = U1 (V1.T C3) - Y, the residual with f kept
+    factored; the product U2 @ V2.T equals q with no approximation beyond
+    f's own.
     """
-    res = approx_c(f_lr, inst)
-    fc = res.U @ res.M
+    c = approx_c(f_lr, inst).dense()
     instrument.count_matmul(inst.L, f_lr.k, inst.d)
-    U2 = np.hstack([inst.C3, -inst.C3])
-    V2 = np.hstack([fc, inst.Y])
-    instrument.alloc(U2.size)
-    instrument.alloc(V2.size)
-    return LowRankFactor(U=U2, V=V2, k=2 * inst.d)
+    instrument.count(c.size)
+    instrument.alloc(c.size)
+    return LowRankFactor(U=inst.C3, V=c, k=inst.d)
 
 
 def approx_p1(f_lr, q_lr):
-    """Factor of p1 = f.T * q via the columnwise-Kronecker identity.
+    """Implicit factor of p1 = f.T * q via the columnwise-Kronecker identity.
 
     p1's column convention stores f row j against column j, so the dense
-    target is (V1 U1.T) * (U2 V2.T) and the factor halves combine crosswise:
-    U3 = V1 ck U2, V3 = U1 ck V2, rank k1 * k2.
+    target is (V1 U1.T) * (U2 V2.T) = (V1 ck U2) @ (U1 ck V2).T, rank
+    k1 * k2. The halves are not built: the KhatriRaoFactor keeps the four
+    thin factors and contracts them in its sandwich.
     """
-    if f_lr.L != q_lr.L:
-        raise DimensionError("factors disagree on L")
-    U3 = colwise_kronecker(f_lr.V, q_lr.U)
-    V3 = colwise_kronecker(f_lr.U, q_lr.V)
-    return LowRankFactor(U=U3, V=V3, k=f_lr.k * q_lr.k)
+    return KhatriRaoFactor(A=f_lr.V, B=q_lr.U, C=f_lr.U, D=q_lr.V)
 
 
 def approx_p2(f_lr, q_lr):
@@ -299,22 +377,13 @@ def approx_p2(f_lr, q_lr):
 def _grad_W(f_lr, inst):
     """dL/dW of one special-case problem from its f factor.
 
-    Runs q -> p1, p2 and stages dL/dW = C1.T p.T C2 with
-    p.T = V3 U3.T - V4 U4.T as two thin products per term,
-    (C1.T V) @ (U.T C2), so no L x L array is formed. The factors are freed
-    on return.
+    Runs q -> p1, p2 and returns dL/dW = C1.T (p1 - p2).T C2 as the
+    difference of the two factors' sandwiches, so no L x L array and no
+    L x k1 * d half of p1 is formed. The factors are freed on return.
     """
-    L, d = inst.L, inst.d
     q_lr = approx_q(f_lr, inst)
-    out = np.zeros((d, d))
-    for lr, sign in ((approx_p1(f_lr, q_lr), 1.0), (approx_p2(f_lr, q_lr), -1.0)):
-        left = inst.C1.T @ lr.V
-        right = lr.U.T @ inst.C2
-        instrument.count_matmul(d, L, lr.k)
-        instrument.count_matmul(lr.k, L, d)
-        instrument.count_matmul(d, lr.k, d)
-        out += sign * (left @ right)
-    return out
+    p1_term = approx_p1(f_lr, q_lr).sandwich(inst.C1, inst.C2)
+    return p1_term - approx_p2(f_lr, q_lr).sandwich(inst.C1, inst.C2)
 
 
 def grad_from_f_factor(f_lr, inst, adp):
@@ -346,5 +415,6 @@ def approx_grad_general(g, adpQ, adpK, cfg):
         except NormBoundError as err:
             raise NormBoundError(f"{side} side {err.name}", err.measured, err.bound)
         grads.append(_grad_W(f_lr, inst))
+        del f_lr  # free this side's factor before the next side builds its own
     NQ, NK = grads
     return project(adpQ, adpQ.scale * NQ), project(adpK, NK.T)

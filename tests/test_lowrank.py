@@ -1,6 +1,7 @@
 """Factored gradient chain: f/q/p factors, polynomial and SVD backends."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -28,6 +29,7 @@ from lora_kernels.errors import (
 )
 from lora_kernels.exact import compute_p, grad_adapters_general, grad_adapters_special
 from lora_kernels.lowrank import (
+    KhatriRaoFactor,
     LowRankFactor,
     PolyApproxConfig,
     approx_c,
@@ -128,6 +130,29 @@ class TestFeatureMap:
         )
         assert np.abs(K - ref).max() <= 1e-12
 
+    def test_columns_are_scaled_monomials(self, rng):
+        # Each column must be X^beta / sqrt(beta!) for its own exponent
+        # vector beta; columns are matched by exponent, not by position.
+        X = rng.standard_normal((40, 3))
+        g = 5
+        Phi = feature_map(X, g)
+        Xl = X.astype(np.longdouble)
+        betas = [b for b in itertools.product(range(g + 1), repeat=3) if sum(b) <= g]
+        want = np.stack(
+            [
+                np.prod(Xl ** np.array(b), axis=1)
+                / np.sqrt(np.longdouble(math.prod(math.factorial(e) for e in b)))
+                for b in betas
+            ],
+            axis=1,
+        )
+        assert Phi.shape == want.shape == (40, monomial_count(3, g))
+        rel = np.abs(Phi[:, :, None] - want[:, None, :]) / np.abs(want[:, None, :])
+        worst = rel.max(axis=0)
+        match = worst.argmin(axis=1)
+        assert sorted(match) == list(range(len(betas)))
+        assert float(worst.min(axis=1).max()) <= 1e-15
+
 
 class TestFactorContainer:
     def test_shape_consistency(self):
@@ -137,7 +162,7 @@ class TestFactorContainer:
             LowRankFactor(U=np.zeros((4, 2)), V=np.zeros((4, 2)), k=3)
 
     def test_rank_may_exceed_rows(self):
-        # Chained factors (k = k1*k2) legitimately have more columns than rows.
+        # Full-rank and hand-built factors may have more columns than rows.
         lr = LowRankFactor(U=np.zeros((3, 7)), V=np.zeros((3, 7)), k=7)
         assert lr.k == 7
         assert lr.L == 3
@@ -257,10 +282,13 @@ class TestFactoredChain:
         assert lhs <= rhs
 
     def test_q_rank_law(self):
+        # q = C3 @ c.T has rank d: its factor is C3 against the residual c.
         inst, adp, Wstar = gen_instance(13, 10, 3, 1, 1.0)
         W = adapted_weight(Wstar, adp)
-        q_lr = approx_q(self.exact_factor(inst, W), inst)
-        assert q_lr.k == 2 * inst.d == 6
+        f_lr = self.exact_factor(inst, W)
+        q_lr = approx_q(f_lr, inst)
+        assert q_lr.k == inst.d == 3
+        assert np.abs(q_lr.V - approx_c(f_lr, inst).dense()).max() <= 1e-12
 
     def test_q_exact_with_full_rank(self):
         inst, adp, Wstar = gen_instance(13, 10, 3, 1, 1.0)
@@ -285,6 +313,21 @@ class TestFactoredChain:
         pm = compute_p(inst, W)
         assert np.abs(approx_p1(f_lr, q_lr).dense() - pm.p1).max() <= 1e-10
         assert np.abs(approx_p2(f_lr, q_lr).dense() - pm.p2).max() <= 1e-10
+
+    def test_sandwich_matches_dense(self):
+        # Both factor kinds must contract to C1.T @ dense().T @ C2, for the
+        # SVD-factor and the poly-factor chains.
+        inst, adp, Wstar = gen_instance(31, 24, 3, 2, 0.5)
+        W = adapted_weight(Wstar, adp)
+        cfg = PolyApproxConfig(gamma=0.5, degree=4, eps_target=1e-3)
+        for f_lr in (approx_f_svd(inst, W, 7), approx_f_poly(inst, W, cfg)):
+            q_lr = approx_q(f_lr, inst)
+            p1_lr = approx_p1(f_lr, q_lr)
+            assert isinstance(p1_lr, KhatriRaoFactor)
+            for lr in (p1_lr, approx_p2(f_lr, q_lr)):
+                want = inst.C1.T @ lr.dense().T @ inst.C2
+                got = lr.sandwich(inst.C1, inst.C2)
+                assert np.abs(got - want).max() <= 1e-12
 
     def test_p1_rank_law(self):
         a = LowRankFactor(U=np.ones((4, 5)), V=np.ones((4, 5)), k=5)
@@ -398,6 +441,16 @@ class TestApproxGradients:
         with instrument.recording() as tally:
             approx_grad_special(inst, Wstar, adp, cfg)
         assert tally.max_alloc <= max(64 * k3, 64 * 4)
+
+    def test_registered_peak_is_one_feature_map(self):
+        # p1 is contracted in place, so nothing larger than one L x k1
+        # feature map is registered.
+        L = 512
+        inst, adp, Wstar = gen_instance(0, L, 4, 2, 0.25)
+        cfg = PolyApproxConfig(gamma=0.25, degree=3, eps_target=1e-3)
+        with instrument.recording() as tally:
+            approx_grad_special(inst, Wstar, adp, cfg)
+        assert tally.max_alloc <= L * monomial_count(4, 3) == 17_920
 
 
 class TestApproxGeneral:
