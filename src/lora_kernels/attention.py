@@ -18,6 +18,8 @@ Orientation conventions, used consistently everywhere downstream:
 * c = f @ C3 - Y is the L x d residual.
 * q = C3 @ c.T is L x L with COLUMN j paired with softmax row j:
   q[l, j] = <C3[l, :], c[j, :]>.
+* r[j] = <f[j, :], q[:, j]> = <c[j, :] + Y[j, :], c[j, :]> is the
+  softmax-Jacobian row dot (softmax_dots).
 """
 
 import os
@@ -195,6 +197,16 @@ def q_from_c(c, inst):
     instrument.count_matmul(inst.L, inst.d, inst.L)
     instrument.alloc(q.size)
     return q
+
+
+def softmax_dots(c, Y):
+    """Softmax-Jacobian row dots r_j = <f_j, q_j> = <c_j + Y_j, c_j>, O(L d).
+
+    With q = C3 @ c.T, <f_j, q_j> = <(f @ C3)_j, c_j> for any f, factored too.
+    """
+    r = ((c + Y) * c).sum(axis=1)
+    instrument.count(2 * c.size)
+    return r
 
 
 def residual_c(inst, W):

@@ -2,17 +2,19 @@
 
 This path materializes the L x L intermediates on purpose: it is the
 reference whose cost grows as Theta(L^2) and against which the factored path
-is compared. The five stages are
+is compared. The stages are
 
     f = rownorm(exp(C1 @ W @ C2.T))           attention matrix
     c = f @ C3 - Y                            residual
     q = C3 @ c.T                              score matrix (columns <-> rows)
-    p = p1 - p2, column j: f_j*q_j - f_j<f_j, q_j>   softmax-Jacobian action
+    r_j = <f_j, q_j> = <c_j + Y_j, c_j>       row dots, O(L d) from c
+    p[:, j] = f_j * (q_j - r_j)               softmax-Jacobian action
     dL/dW = C1.T @ p.T @ C2                   weight gradient
 
 with the adapter gradients read off as dL/dA = B.T @ dL/dW and
-dL/dB = dL/dW @ A.T. The p matrices store column j against softmax row j,
-so the matrix sandwiched between C1.T and C2 is p.T, whose row j is p_j.
+dL/dB = dL/dW @ A.T. p stores column j against softmax row j, so the matrix
+sandwiched between C1.T and C2 is p.T, whose row j is p_j. Only f, q and p
+are L x L; the dense split p = p1 - p2 is left to the oracle.
 
 The general problem is two copies of the special case that share one score
 matrix: the query side at WQ and the key side at WK.T, whose weight gradient
@@ -33,24 +35,9 @@ from .attention import (
     forward_f,
     q_from_c,
     residual_from_f,
+    softmax_dots,
 )
-from .errors import DimensionError, SizeGuardError
-from .tensorops import kronecker
-
-# jacobian_blocks builds d^2 x rd dense matrices; keep it to small d.
-JACOBIAN_GUARD_D = 6
-
-
-@dataclass(frozen=True)
-class PMatrices:
-    """The split softmax-Jacobian scores, all L x L, column j per row j of f.
-
-    p1[:, j] = f_j * q_j, p2[:, j] = f_j * <f_j, q_j>, p = p1 - p2.
-    """
-
-    p1: np.ndarray
-    p2: np.ndarray
-    p: np.ndarray
+from .errors import DimensionError
 
 
 @dataclass(frozen=True)
@@ -68,46 +55,41 @@ def project(adp, M):
     return GradientPair(GA=adp.B.T @ M, GB=M @ adp.A.T)
 
 
-def split_p(f, q):
-    """Split Jacobian scores from a given attention matrix and score matrix.
+def split_p(f, q, r):
+    """Softmax-Jacobian action p from the attention, score and row-dot arrays.
 
-    Column j of p is (diag(f_j) - f_j f_j^T) q_j where f_j is softmax row j
-    of f and q_j is column j of q. Each column costs O(L): the diagonal part
-    is the Hadamard product f_j * q_j and the outer-product part collapses to
-    f_j scaled by <f_j, q_j>.
+    Column j of p is (diag(f_j) - f_j f_j^T) q_j = f_j * (q_j - r_j), where
+    f_j is softmax row j of f, q_j is column j of q and r_j = <f_j, q_j>
+    (softmax_dots). Each column costs O(L) and p is the only array built.
     """
     f = np.asarray(f)
     q = np.asarray(q)
+    r = np.asarray(r)
     if f.shape != q.shape or f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise DimensionError(
             f"f and q must be equal square matrices, got {f.shape} and {q.shape}"
         )
+    if r.shape != f.shape[:1]:
+        raise DimensionError(f"r must have shape {f.shape[:1]}, got {r.shape}")
     check_dense_guard(f.shape[0])
-    ft = f.T
-    p1 = ft * q
-    # r_j = <f_j, q_j> reduces p2 to a column scaling of f^T.
-    r = np.einsum("lj,lj->j", ft, q)
-    p2 = ft * r[np.newaxis, :]
-    p = p1 - p2
-    instrument.count(4 * f.size)
-    instrument.alloc(p1.size)
-    instrument.alloc(p2.size)
+    p = q - r
+    p *= f.T
+    instrument.count(2 * f.size)
     instrument.alloc(p.size)
-    return PMatrices(p1=p1, p2=p2, p=p)
+    return p
 
 
 def compute_p(inst, W):
-    """PMatrices of the instance at weight W (forward pass included)."""
+    """The L x L softmax-Jacobian action p at weight W (forward pass included)."""
     f = forward_f(inst, W)
     c = residual_from_f(f, inst)
     q = q_from_c(c, inst)
-    return split_p(f, q)
+    return split_p(f, q, softmax_dots(c, inst.Y))
 
 
 def grad_wrt_W(inst, W):
     """dL/dW as a d x d matrix, assembled as C1.T @ p.T @ C2."""
-    pm = compute_p(inst, W)
-    return _sandwich(inst.C1, pm.p.T, inst.C2)
+    return _sandwich(inst.C1, compute_p(inst, W).T, inst.C2)
 
 
 def _sandwich(C1, g_rows, C2):
@@ -136,29 +118,8 @@ def grad_adapters_general(g, adpQ, adpK):
     """
     consts = compose_general_constants(g, adpQ, adpK)
     (inst_q, WQ), (inst_k, _) = consts.sides(g.Y)
-    g_rows = compute_p(inst_q, WQ).p.T
+    g_rows = compute_p(inst_q, WQ).T
     NQ = _sandwich(inst_q.C1, g_rows, inst_q.C2)
     NK = _sandwich(inst_k.C1, g_rows, inst_k.C2)
     return project(adpQ, adpQ.scale * NQ), project(adpK, NK.T)
 
-
-def jacobian_blocks(adp):
-    """Dense Jacobians (J_B, J_A) of vec(W) in vec(A) and vec(B).
-
-    Under row-major vec the exact identities are
-
-        vec(Wbar + B @ A) = vec(Wbar) + J_B @ vec(A),  J_B = B kron I_d
-        vec(Wbar + B @ A) = vec(Wbar) + J_A @ vec(B),  J_A = I_d kron A.T
-
-    both of shape d^2 x rd. Test support only; guarded to small d.
-    """
-    d, r = adp.d, adp.r
-    if d > JACOBIAN_GUARD_D:
-        raise SizeGuardError(
-            f"jacobian_blocks is test support, guarded to d <= {JACOBIAN_GUARD_D}; "
-            f"got d = {d}"
-        )
-    eye = np.eye(d)
-    J_B = kronecker(adp.B, eye)
-    J_A = kronecker(eye, adp.A.T)
-    return J_B, J_A

@@ -3,22 +3,23 @@
 Every L x L object of the exact path is replaced by a factorization whose
 pieces are L x k arrays, and the chain
 
-    f  ->  q = C3 @ c.T  ->  p1, p2  ->  dL/dW = C1.T @ (p1 - p2).T @ C2
+    f  ->  c, q = C3 @ c.T, r  ->  p1, p2  ->  dL/dW = C1.T @ (p1 - p2).T @ C2
 
 is rebuilt so that nothing of size L x L, and nothing of size L x k1 * d,
 is ever formed. Orientations follow the exact path's column convention:
-the factored p matrices represent the same column-j-per-softmax-row-j
-layout as the dense PMatrices.
+the factored p1 and p2 have the column-j-per-softmax-row-j layout of p.
 
 * f ~ U1 @ V1.T with rank k1 (one of the two backends below).
-* q = C3 @ c.T exactly, with c = U1 (V1.T C3) - Y: rank d.
+* q = C3 @ c.T exactly, with the L x d residual c = U1 (V1.T C3) - Y: rank d.
+* r_j = <f_j, q_j> = <c_j + Y_j, c_j>, read off c in O(L d) (softmax_dots).
 * p1 = f.T * q = (V1 @ U1.T) * (C3 @ c.T) elementwise. By the
   columnwise-Kronecker identity this is (V1 ck C3) @ (U1 ck c).T, of rank
   k1 * d. It is held implicitly as a KhatriRaoFactor of the four thin
   factors, and its sandwich C1.T @ p1.T @ C2 is contracted from them
   directly: two L-deep products of size (d * d) x k1 and one d x d
   contraction. Only dense(), which is test support, builds the halves.
-* p2 = f.T scaled per column by <f_j, q_j>: a LowRankFactor of rank k1.
+* p2 = f.T scaled per column by r_j: a LowRankFactor of rank k1 whose
+  halves are V1 and U1 with rows scaled by r.
 
 Two interchangeable sources for the f factor:
 
@@ -46,6 +47,7 @@ from .attention import (
     check_dense_guard,
     compose_general_constants,
     forward_f,
+    softmax_dots,
 )
 from .errors import (
     ApproxBreakdownError,
@@ -163,18 +165,6 @@ class KhatriRaoFactor:
 
 
 @dataclass(frozen=True)
-class FactoredResidual:
-    """Residual c = f @ C3 - Y with f kept factored: c = U @ M - Y."""
-
-    U: np.ndarray
-    M: np.ndarray
-    Y: np.ndarray
-
-    def dense(self):
-        return self.U @ self.M - self.Y
-
-
-@dataclass(frozen=True)
 class PolyApproxConfig:
     """Knobs of the polynomial backend.
 
@@ -188,12 +178,13 @@ class PolyApproxConfig:
     eps_target: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        for name in ("gamma", "eps_target"):
+            value = getattr(self, name)
+            # NaN fails every comparison, so require a positive finite value.
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.degree is not None and self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
-        if self.eps_target <= 0:
-            raise ValueError(f"eps_target must be positive, got {self.eps_target}")
 
 
 def monomial_count(d, g):
@@ -320,27 +311,26 @@ def approx_f_svd(inst, W, k):
 
 
 def approx_c(f_lr, inst):
-    """Residual c with the f factor kept implicit: c = U1 @ (V1.T @ C3) - Y."""
+    """Residual c = U1 @ (V1.T @ C3) - Y, L x d, with the f factor kept implicit."""
     if f_lr.L != inst.L:
         raise DimensionError("factor and instance disagree on L")
     M = f_lr.V.T @ inst.C3
     instrument.count_matmul(f_lr.k, inst.L, inst.d)
     instrument.alloc(M.size)
-    return FactoredResidual(U=f_lr.U, M=M, Y=inst.Y)
+    c = f_lr.U @ M - inst.Y
+    instrument.count_matmul(inst.L, f_lr.k, inst.d)
+    instrument.count(c.size)
+    instrument.alloc(c.size)
+    return c
 
 
 def approx_q(f_lr, inst):
     """Factor of q = C3 @ c.T built from the f factor, exactly, at rank d.
 
-    U2 = C3 and V2 = c = U1 (V1.T C3) - Y, the residual with f kept
-    factored; the product U2 @ V2.T equals q with no approximation beyond
-    f's own.
+    U2 = C3 and V2 = c, the residual with f kept factored; the product
+    U2 @ V2.T equals q with no approximation beyond f's own.
     """
-    c = approx_c(f_lr, inst).dense()
-    instrument.count_matmul(inst.L, f_lr.k, inst.d)
-    instrument.count(c.size)
-    instrument.alloc(c.size)
-    return LowRankFactor(U=inst.C3, V=c, k=inst.d)
+    return LowRankFactor(U=inst.C3, V=approx_c(f_lr, inst), k=inst.d)
 
 
 def approx_p1(f_lr, q_lr):
@@ -354,20 +344,14 @@ def approx_p1(f_lr, q_lr):
     return KhatriRaoFactor(A=f_lr.V, B=q_lr.U, C=f_lr.U, D=q_lr.V)
 
 
-def approx_p2(f_lr, q_lr):
-    """Factor of p2 = f.T scaled per column by r_j = <f_j, q_j>.
+def approx_p2(f_lr, r):
+    """Factor of p2 = f.T scaled per column by the row dots r_j = <f_j, q_j>.
 
-    The row dots come from the precomputed Gram matrix G = V1.T @ U2:
-    r_j = U1[j, :] @ G @ V2[j, :].T, each O(k1 k2). The factor keeps f's
-    rank: U4 = V1, V4 = U1 with row j scaled by r_j.
+    r comes from softmax_dots on the residual. The factor keeps f's rank:
+    U4 = V1, V4 = U1 with row j scaled by r_j.
     """
-    if f_lr.L != q_lr.L:
-        raise DimensionError("factors disagree on L")
-    G = f_lr.V.T @ q_lr.U
-    instrument.count_matmul(f_lr.k, f_lr.L, q_lr.k)
-    r = ((f_lr.U @ G) * q_lr.V).sum(axis=1)
-    instrument.count_matmul(f_lr.L, f_lr.k, q_lr.k)
-    instrument.count(f_lr.L * q_lr.k)
+    if r.shape != (f_lr.L,):
+        raise DimensionError(f"r must have shape {(f_lr.L,)}, got {r.shape}")
     V4 = f_lr.U * r[:, None]
     instrument.count(V4.size)
     instrument.alloc(V4.size)
@@ -379,11 +363,13 @@ def _grad_W(f_lr, inst):
 
     Runs q -> p1, p2 and returns dL/dW = C1.T (p1 - p2).T C2 as the
     difference of the two factors' sandwiches, so no L x L array and no
-    L x k1 * d half of p1 is formed. The factors are freed on return.
+    L x k1 * d half of p1 is formed. p2's row dots are read off q's
+    residual half. The factors are freed on return.
     """
     q_lr = approx_q(f_lr, inst)
     p1_term = approx_p1(f_lr, q_lr).sandwich(inst.C1, inst.C2)
-    return p1_term - approx_p2(f_lr, q_lr).sandwich(inst.C1, inst.C2)
+    r = softmax_dots(q_lr.V, inst.Y)
+    return p1_term - approx_p2(f_lr, r).sandwich(inst.C1, inst.C2)
 
 
 def grad_from_f_factor(f_lr, inst, adp):

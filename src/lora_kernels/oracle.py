@@ -4,13 +4,15 @@ Three families, all deliberately slow and simple:
 
 * central finite differences of the loss (fd_grad and its wrappers),
 * a literal per-column softmax-Jacobian build (dense_p_oracle) that
-  materializes diag(f_j) and the outer product f_j f_j^T,
+  materializes diag(f_j) and f_j f_j^T, the split p = p1 - p2 (PMatrices),
 * the fully materialized Kronecker route (dense_kron_grad_oracle) that forms
   C1 kron C2 and the dense adapter Jacobians and works entirely on vecs.
 
 Size guards hard-fail instead of truncating; these functions exist to settle
 orientation and sign questions, not to run at scale.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +26,14 @@ from .attention import (
     residual_from_f,
 )
 from .errors import NonFiniteError, SizeGuardError
-from .exact import GradientPair, PMatrices, compute_p, jacobian_blocks
+from .exact import GradientPair
 from .tensorops import kronecker, matrixize, subblock
 
 DENSE_P_GUARD_L = 64
 KRON_GUARD_L = 8
 KRON_GUARD_D = 3
+# jacobian_blocks builds d^2 x rd dense matrices; keep it to small d.
+JACOBIAN_GUARD_D = 6
 
 FD_STEP = 1e-5
 
@@ -99,6 +103,18 @@ def fd_grad_general(g, adpQ, adpK, side, which, h=FD_STEP):
     return fd_grad(at, start, h=h)
 
 
+@dataclass(frozen=True)
+class PMatrices:
+    """The split softmax-Jacobian scores, all L x L, column j per row j of f.
+
+    p1[:, j] = f_j * q_j, p2[:, j] = f_j * <f_j, q_j>, p = p1 - p2.
+    """
+
+    p1: np.ndarray
+    p2: np.ndarray
+    p: np.ndarray
+
+
 def dense_p_oracle(inst, W):
     """Literal (diag(f_j) - f_j f_j^T) q_j build, column by column."""
     L = inst.L
@@ -133,13 +149,35 @@ def dense_kron_grad_oracle(inst, Wstar, adp):
             f"d <= {KRON_GUARD_D}, got L = {L}, d = {d}"
         )
     W = adapted_weight(Wstar, adp)
-    pm = compute_p(inst, W)
+    p = dense_p_oracle(inst, W).p
     K = kronecker(inst.C1, inst.C2)
     vg = np.zeros(d * d)
     for j in range(L):
         Cj = subblock(K, j)
-        vg += Cj.T @ pm.p[:, j]
+        vg += Cj.T @ p[:, j]
     J_B, J_A = jacobian_blocks(adp)
     GA = matrixize(J_B.T @ vg, adp.r, d)
     GB = matrixize(J_A.T @ vg, d, adp.r)
     return GradientPair(GA=GA, GB=GB)
+
+
+def jacobian_blocks(adp):
+    """Dense Jacobians (J_B, J_A) of vec(W) in vec(A) and vec(B).
+
+    Under row-major vec the exact identities are
+
+        vec(Wbar + B @ A) = vec(Wbar) + J_B @ vec(A),  J_B = B kron I_d
+        vec(Wbar + B @ A) = vec(Wbar) + J_A @ vec(B),  J_A = I_d kron A.T
+
+    both of shape d^2 x rd. Test support only; guarded to small d.
+    """
+    d, r = adp.d, adp.r
+    if d > JACOBIAN_GUARD_D:
+        raise SizeGuardError(
+            f"jacobian_blocks is test support, guarded to d <= {JACOBIAN_GUARD_D}; "
+            f"got d = {d}"
+        )
+    eye = np.eye(d)
+    J_B = kronecker(adp.B, eye)
+    J_A = kronecker(eye, adp.A.T)
+    return J_B, J_A

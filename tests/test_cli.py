@@ -99,6 +99,14 @@ class TestApprox:
         ) == 1
         assert "norm precondition" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--gamma", "--eps"])
+    def test_non_finite_knob_is_one_error_line(self, bundle, capsys, flag):
+        assert run(
+            "approx", "--in", str(bundle), "--backend", "poly", flag, "nan",
+        ) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_strict_rank_infeasible(self, tmp_path, capsys):
         out = tmp_path / "hard"
         run("gen", "--seed", "2", "--L", "8", "--d", "3", "--r", "1",

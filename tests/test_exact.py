@@ -1,4 +1,6 @@
-"""Exact gradient pipeline: p matrices, weight gradient, adapter gradients."""
+"""Exact gradient pipeline: p matrix, weight gradient, adapter gradients."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from lora_kernels.attention import (
     compose_special_constants,
     forward_f,
     general_loss,
+    softmax_dots,
     softmax_rows,
 )
 from lora_kernels.errors import DimensionError, SizeGuardError
@@ -21,7 +24,6 @@ from lora_kernels.exact import (
     grad_adapters_general,
     grad_adapters_special,
     grad_wrt_W,
-    jacobian_blocks,
     split_p,
 )
 from lora_kernels.oracle import (
@@ -30,6 +32,7 @@ from lora_kernels.oracle import (
     fd_grad_adapter,
     fd_grad_general,
     fd_grad_W,
+    jacobian_blocks,
 )
 from lora_kernels.tensorops import kronecker, subblock, vectorize
 
@@ -67,24 +70,29 @@ class TestComputeP:
     def test_zero_q_gives_zero(self, rng):
         W = rng.standard_normal((2, 2))
         inst = zero_residual_instance(rng, 5, 2, W)
-        pm = compute_p(inst, W)
-        assert np.abs(pm.p1).max() <= 1e-14
-        assert np.abs(pm.p2).max() <= 1e-14
-        assert np.abs(pm.p).max() <= 1e-14
+        om = dense_p_oracle(inst, W)
+        assert np.abs(om.p1).max() <= 1e-14
+        assert np.abs(om.p2).max() <= 1e-14
+        assert np.abs(compute_p(inst, W)).max() <= 1e-14
 
     def test_single_token_p_is_zero(self, rng):
         inst = random_instance(rng, 1, 2)
-        pm = compute_p(inst, rng.standard_normal((2, 2)))
-        assert np.abs(pm.p).max() <= 1e-15
+        p = compute_p(inst, rng.standard_normal((2, 2)))
+        assert np.abs(p).max() <= 1e-15
 
     def test_matches_dense_oracle(self, rng):
+        # p against the literal diag/outer-product build, and the oracle's
+        # split against its closed forms: p1 = f.T * q and p2 = f.T scaled
+        # per column by the row dots read off the residual.
         inst = random_instance(rng, 5, 2)
         W = rng.standard_normal((2, 2))
-        pm = compute_p(inst, W)
         om = dense_p_oracle(inst, W)
-        assert np.abs(pm.p1 - om.p1).max() <= 1e-12
-        assert np.abs(pm.p2 - om.p2).max() <= 1e-12
-        assert np.abs(pm.p - om.p).max() <= 1e-12
+        f = forward_f(inst, W)
+        c = f @ inst.C3 - inst.Y
+        q = inst.C3 @ c.T
+        assert np.abs(f.T * q - om.p1).max() <= 1e-12
+        assert np.abs(f.T * softmax_dots(c, inst.Y) - om.p2).max() <= 1e-12
+        assert np.abs(compute_p(inst, W) - om.p).max() <= 1e-12
 
     def test_column_identity_brute_force(self, rng):
         inst = random_instance(rng, 6, 3)
@@ -92,22 +100,19 @@ class TestComputeP:
         f = forward_f(inst, W)
         c = f @ inst.C3 - inst.Y
         q = inst.C3 @ c.T
-        pm = split_p(f, q)
+        p = split_p(f, q, softmax_dots(c, inst.Y))
         for j in range(6):
             fj = f[j, :]
             qj = q[:, j]
-            assert np.abs(pm.p[:, j] - (fj * qj - fj * (fj @ qj))).max() <= 1e-13
-
-    def test_p_is_difference(self, rng):
-        inst = random_instance(rng, 4, 2)
-        pm = compute_p(inst, rng.standard_normal((2, 2)))
-        assert np.array_equal(pm.p, pm.p1 - pm.p2)
+            assert np.abs(p[:, j] - (fj * qj - fj * (fj @ qj))).max() <= 1e-13
 
     def test_split_p_shape_check(self):
         with pytest.raises(DimensionError):
-            split_p(np.zeros((3, 3)), np.zeros((3, 2)))
+            split_p(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(DimensionError):
-            split_p(np.zeros((3, 2)), np.zeros((3, 2)))
+            split_p(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3))
+        with pytest.raises(DimensionError):
+            split_p(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(2))
 
 
 class TestGradW:
@@ -124,6 +129,20 @@ class TestGradW:
         inst = random_instance(rng, 6, 3)
         W = rng.standard_normal((3, 3))
         assert rel_err(grad_wrt_W(inst, W), fd_grad_W(inst, W)) <= 1e-5
+
+    def test_peak_memory_is_three_square_arrays(self, rng):
+        # Only f, q and p are L x L; the softmax needs three at its peak too
+        # (scores, shifted scores, exp), so 3.25 leaves room for the L x d rest.
+        L = 512
+        inst = random_instance(rng, L, 4)
+        W = rng.standard_normal((4, 4))
+        tracemalloc.start()
+        try:
+            grad_wrt_W(inst, W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * L * L * 8
 
 
 class TestGradAdaptersSpecial:

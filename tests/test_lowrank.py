@@ -20,6 +20,7 @@ from lora_kernels.attention import (
     forward_f,
     residual_c,
     score_q,
+    softmax_dots,
 )
 from lora_kernels.errors import (
     ApproxBreakdownError,
@@ -27,7 +28,7 @@ from lora_kernels.errors import (
     NormBoundError,
     RankInfeasibleError,
 )
-from lora_kernels.exact import compute_p, grad_adapters_general, grad_adapters_special
+from lora_kernels.exact import grad_adapters_general, grad_adapters_special
 from lora_kernels.lowrank import (
     KhatriRaoFactor,
     LowRankFactor,
@@ -46,6 +47,7 @@ from lora_kernels.lowrank import (
     select_degree,
 )
 from lora_kernels.harness import gen_instance
+from lora_kernels.oracle import dense_p_oracle
 
 
 class TestConfigAndDegree:
@@ -56,6 +58,17 @@ class TestConfigAndDegree:
             PolyApproxConfig(gamma=0.5, degree=-1, eps_target=1e-3)
         with pytest.raises(ValueError):
             PolyApproxConfig(gamma=0.5, degree=None, eps_target=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_config_rejects_non_finite(self, bad):
+        # NaN slips past a plain <= 0 check: with a pinned degree it would
+        # switch off the norm check, with an adaptive one the degree search
+        # would run to its ceiling.
+        for degree in (None, 3):
+            with pytest.raises(ValueError, match="finite"):
+                PolyApproxConfig(gamma=bad, degree=degree, eps_target=1e-3)
+            with pytest.raises(ValueError, match="finite"):
+                PolyApproxConfig(gamma=0.5, degree=degree, eps_target=bad)
 
     def test_monomial_counts(self):
         assert monomial_count(2, 2) == 6
@@ -261,7 +274,7 @@ class TestFactoredChain:
         inst, adp, Wstar = gen_instance(13, 10, 3, 1, 1.0)
         W = adapted_weight(Wstar, adp)
         res = approx_c(self.exact_factor(inst, W), inst)
-        assert np.abs(res.dense() - residual_c(inst, W)).max() <= 1e-10
+        assert np.abs(res - residual_c(inst, W)).max() <= 1e-10
 
     def test_residual_zero_when_target_matches(self):
         inst0, adp, Wstar = gen_instance(13, 10, 3, 1, 1.0)
@@ -269,7 +282,7 @@ class TestFactoredChain:
         Y = forward_f(inst0, W) @ inst0.C3
         inst = AttentionInstance(C1=inst0.C1, C2=inst0.C2, C3=inst0.C3, Y=Y)
         res = approx_c(self.exact_factor(inst, W), inst)
-        assert np.abs(res.dense()).max() <= 1e-12
+        assert np.abs(res).max() <= 1e-12
 
     def test_residual_error_bound(self):
         inst, adp, Wstar = gen_instance(13, 12, 3, 2, 1.0)
@@ -277,7 +290,7 @@ class TestFactoredChain:
         f = forward_f(inst, W)
         f_lr = approx_f_svd(inst, W, 4)
         res = approx_c(f_lr, inst)
-        lhs = np.abs(res.dense() - residual_c(inst, W)).max()
+        lhs = np.abs(res - residual_c(inst, W)).max()
         rhs = inst.d * np.abs(inst.C3).max() * np.abs(f_lr.dense() - f).max()
         assert lhs <= rhs
 
@@ -288,7 +301,7 @@ class TestFactoredChain:
         f_lr = self.exact_factor(inst, W)
         q_lr = approx_q(f_lr, inst)
         assert q_lr.k == inst.d == 3
-        assert np.abs(q_lr.V - approx_c(f_lr, inst).dense()).max() <= 1e-12
+        assert np.abs(q_lr.V - approx_c(f_lr, inst)).max() <= 1e-12
 
     def test_q_exact_with_full_rank(self):
         inst, adp, Wstar = gen_instance(13, 10, 3, 1, 1.0)
@@ -301,7 +314,7 @@ class TestFactoredChain:
         W = adapted_weight(Wstar, adp)
         f_lr = approx_f_svd(inst, W, 4)
         q_lr = approx_q(f_lr, inst)
-        c_err = np.abs(approx_c(f_lr, inst).dense() - residual_c(inst, W)).max()
+        c_err = np.abs(approx_c(f_lr, inst) - residual_c(inst, W)).max()
         lhs = np.abs(q_lr.dense() - score_q(inst, W)).max()
         assert lhs <= inst.d * np.abs(inst.C3).max() * c_err
 
@@ -310,9 +323,25 @@ class TestFactoredChain:
         W = adapted_weight(Wstar, adp)
         f_lr = self.exact_factor(inst, W)
         q_lr = approx_q(f_lr, inst)
-        pm = compute_p(inst, W)
+        pm = dense_p_oracle(inst, W)
+        r = softmax_dots(q_lr.V, inst.Y)
         assert np.abs(approx_p1(f_lr, q_lr).dense() - pm.p1).max() <= 1e-10
-        assert np.abs(approx_p2(f_lr, q_lr).dense() - pm.p2).max() <= 1e-10
+        assert np.abs(approx_p2(f_lr, r).dense() - pm.p2).max() <= 1e-10
+
+    def test_softmax_dots_match_row_einsum(self):
+        # r_j = <f_j, q_j> is read off the residual for the dense f and for
+        # the f of each factored chain, whose own q it pairs with.
+        inst, adp, Wstar = gen_instance(31, 24, 3, 2, 0.5)
+        W = adapted_weight(Wstar, adp)
+        cfg = PolyApproxConfig(gamma=0.5, degree=4, eps_target=1e-3)
+        f = forward_f(inst, W)
+        c = residual_c(inst, W)
+        chains = [(f, c)]
+        for f_lr in (approx_f_svd(inst, W, 7), approx_f_poly(inst, W, cfg)):
+            chains.append((f_lr.dense(), approx_q(f_lr, inst).V))
+        for f, c in chains:
+            want = np.einsum("lj,lj->j", f.T, inst.C3 @ c.T)
+            assert np.abs(softmax_dots(c, inst.Y) - want).max() <= 1e-12
 
     def test_sandwich_matches_dense(self):
         # Both factor kinds must contract to C1.T @ dense().T @ C2, for the
@@ -324,7 +353,8 @@ class TestFactoredChain:
             q_lr = approx_q(f_lr, inst)
             p1_lr = approx_p1(f_lr, q_lr)
             assert isinstance(p1_lr, KhatriRaoFactor)
-            for lr in (p1_lr, approx_p2(f_lr, q_lr)):
+            p2_lr = approx_p2(f_lr, softmax_dots(q_lr.V, inst.Y))
+            for lr in (p1_lr, p2_lr):
                 want = inst.C1.T @ lr.dense().T @ inst.C2
                 got = lr.sandwich(inst.C1, inst.C2)
                 assert np.abs(got - want).max() <= 1e-12
@@ -339,13 +369,15 @@ class TestFactoredChain:
         W = adapted_weight(Wstar, adp)
         f_lr = approx_f_svd(inst, W, 3)
         q_lr = approx_q(f_lr, inst)
-        assert approx_p2(f_lr, q_lr).k == f_lr.k == 3
+        r = softmax_dots(q_lr.V, inst.Y)
+        assert approx_p2(f_lr, r).k == f_lr.k == 3
 
     def test_zero_factor_zero_products(self):
         zero = LowRankFactor(U=np.zeros((5, 2)), V=np.zeros((5, 2)), k=2)
         other = LowRankFactor(U=np.ones((5, 3)), V=np.ones((5, 3)), k=3)
         assert np.abs(approx_p1(zero, other).dense()).max() == 0.0
-        assert np.abs(approx_p2(other, zero).dense()).max() == 0.0
+        r = softmax_dots(zero.V, np.ones((5, 2)))
+        assert np.abs(approx_p2(other, r).dense()).max() == 0.0
 
     def test_length_mismatch(self):
         a = LowRankFactor(U=np.ones((4, 2)), V=np.ones((4, 2)), k=2)
@@ -353,7 +385,7 @@ class TestFactoredChain:
         with pytest.raises(DimensionError):
             approx_p1(a, b)
         with pytest.raises(DimensionError):
-            approx_p2(a, b)
+            approx_p2(a, np.ones(5))
 
 
 class TestApproxGradients:
@@ -413,13 +445,13 @@ class TestApproxGradients:
         for seed in (1, 3, 5):
             inst, adp, Wstar = gen_instance(seed, 12, 3, 2, 0.8)
             W = adapted_weight(Wstar, adp)
-            pm = compute_p(inst, W)
+            pm = dense_p_oracle(inst, W)
             exact = grad_adapters_special(inst, Wstar, adp)
             for k in (2, 4, 8):
                 f_lr = approx_f_svd(inst, W, k)
                 q_lr = approx_q(f_lr, inst)
                 p1_lr = approx_p1(f_lr, q_lr)
-                p2_lr = approx_p2(f_lr, q_lr)
+                p2_lr = approx_p2(f_lr, softmax_dots(q_lr.V, inst.Y))
                 pair = grad_from_f_factor(f_lr, inst, adp)
                 lhs = np.abs(pair.GA - exact.GA).max()
                 rhs = (
