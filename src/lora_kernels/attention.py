@@ -17,7 +17,9 @@ Orientation conventions, used consistently everywhere downstream:
   query j.
 * c = f @ C3 - Y is the L x d residual.
 * q = C3 @ c.T is L x L with COLUMN j paired with softmax row j:
-  q[l, j] = <C3[l, :], c[j, :]>.
+  q[l, j] = <C3[l, :], c[j, :]>. q is stored column-major (built as
+  (c @ C3.T).T), so column j is contiguous, and so is the elementwise pass
+  against f.T that turns q into p.
 * r[j] = <f[j, :], q[:, j]> = <c[j, :] + Y[j, :], c[j, :]> is the
   softmax-Jacobian row dot (softmax_dots).
 """
@@ -141,37 +143,50 @@ def adapted_weight(Wstar, adp):
     return (adp.r / adp.alpha) * Wstar + adp.B @ adp.A
 
 
+def _score_matrix(left, right):
+    """S = left @ right.T, refused past the dense guard or outside exp's range.
+
+    The range check reads S.max() and S.min(), so it builds no |S| array.
+    """
+    check_dense_guard(left.shape[0])
+    S = left @ right.T
+    max_abs = max(float(S.max()), -float(S.min())) if S.size else 0.0
+    if max_abs > SCORE_LIMIT:
+        raise ScoreOverflowError(max_abs, SCORE_LIMIT)
+    return S
+
+
 def scores(inst, W):
     """S = C1 @ W @ C2.T, refusing entries outside exp's float64 range."""
     W = as_matrix(W, "W")
     d = inst.d
     if W.shape != (d, d):
         raise DimensionError(f"W must be {d} x {d}, got {W.shape}")
-    check_dense_guard(inst.L)
-    S = (inst.C1 @ W) @ inst.C2.T
+    S = _score_matrix(inst.C1 @ W, inst.C2)
     instrument.count_matmul(inst.L, d, d)
     instrument.count_matmul(inst.L, d, inst.L)
     instrument.alloc(S.size)
-    max_abs = float(np.abs(S).max()) if S.size else 0.0
-    if max_abs > SCORE_LIMIT:
-        raise ScoreOverflowError(max_abs, SCORE_LIMIT)
     return S
 
 
-def softmax_rows(S):
-    """Row-stochastic matrix from raw scores, stabilized by row-max shifts."""
-    shift = S.max(axis=1, keepdims=True)
-    f = np.exp(S - shift)
-    denom = f.sum(axis=1, keepdims=True)
-    f /= denom
+def softmax_rows(S, out=None):
+    """Row-stochastic matrix from raw scores, stabilized by row-max shifts.
+
+    The shift, exp and normalization run in place in out, which may be S
+    itself. Without out, a new array is returned and S is left unchanged.
+    """
+    f = np.subtract(S, S.max(axis=1, keepdims=True), out=out, dtype=float)
+    np.exp(f, out=f)
+    f *= 1.0 / f.sum(axis=1, keepdims=True)
     instrument.count(4 * S.size)
     instrument.alloc(f.size)
     return f
 
 
 def forward_f(inst, W):
-    """Attention matrix f(W), rows summing to one."""
-    return softmax_rows(scores(inst, W))
+    """Attention matrix f(W), rows summing to one, built in the score buffer."""
+    S = scores(inst, W)
+    return softmax_rows(S, out=S)
 
 
 def forward_output(inst, W):
@@ -191,9 +206,9 @@ def residual_from_f(f, inst):
 
 
 def q_from_c(c, inst):
-    """q = C3 @ c.T for an already computed residual."""
+    """q = C3 @ c.T for an already computed residual, stored column-major."""
     check_dense_guard(inst.L)
-    q = inst.C3 @ c.T
+    q = (c @ inst.C3.T).T
     instrument.count_matmul(inst.L, inst.d, inst.L)
     instrument.alloc(q.size)
     return q
@@ -349,16 +364,12 @@ def compose_general_constants(g, adpQ, adpK):
 def general_scores(g, adpQ, adpK):
     """S = XQ @ WQ @ WK.T @ XK.T with both effective weights in place."""
     WQ, WK = adapted_general_weights(g, adpQ, adpK)
-    check_dense_guard(g.L)
-    S = (g.XQ @ WQ) @ (g.XK @ WK).T
-    max_abs = float(np.abs(S).max()) if S.size else 0.0
-    if max_abs > SCORE_LIMIT:
-        raise ScoreOverflowError(max_abs, SCORE_LIMIT)
-    return S
+    return _score_matrix(g.XQ @ WQ, g.XK @ WK)
 
 
 def general_loss(g, adpQ, adpK):
     """0.5 * || rownorm(exp(S)) @ XV @ WVstar - Y ||_F^2."""
-    f = softmax_rows(general_scores(g, adpQ, adpK))
+    S = general_scores(g, adpQ, adpK)
+    f = softmax_rows(S, out=S)
     c = f @ (g.XV @ g.WVstar) - g.Y
     return 0.5 * float((c * c).sum())

@@ -13,8 +13,12 @@ is compared. The stages are
 
 with the adapter gradients read off as dL/dA = B.T @ dL/dW and
 dL/dB = dL/dW @ A.T. p stores column j against softmax row j, so the matrix
-sandwiched between C1.T and C2 is p.T, whose row j is p_j. Only f, q and p
-are L x L; the dense split p = p1 - p2 is left to the oracle.
+sandwiched between C1.T and C2 is p.T, whose row j is p_j. The dense split
+p = p1 - p2 is left to the oracle.
+
+A gradient holds two L x L buffers. The scores S are exponentiated and
+normalized in place into f, and p is written over q. q is stored
+column-major, like f.T, so each L x L pass reads and writes in memory order.
 
 The general problem is two copies of the special case that share one score
 matrix: the query side at WQ and the key side at WK.T, whose weight gradient
@@ -55,12 +59,14 @@ def project(adp, M):
     return GradientPair(GA=adp.B.T @ M, GB=M @ adp.A.T)
 
 
-def split_p(f, q, r):
+def split_p(f, q, r, out=None):
     """Softmax-Jacobian action p from the attention, score and row-dot arrays.
 
     Column j of p is (diag(f_j) - f_j f_j^T) q_j = f_j * (q_j - r_j), where
     f_j is softmax row j of f, q_j is column j of q and r_j = <f_j, q_j>
-    (softmax_dots). Each column costs O(L) and p is the only array built.
+    (softmax_dots). Each column costs O(L). p is written into out, which may
+    be q itself; without out, a new array is returned and f and q are left
+    unchanged.
     """
     f = np.asarray(f)
     q = np.asarray(q)
@@ -72,7 +78,7 @@ def split_p(f, q, r):
     if r.shape != f.shape[:1]:
         raise DimensionError(f"r must have shape {f.shape[:1]}, got {r.shape}")
     check_dense_guard(f.shape[0])
-    p = q - r
+    p = np.subtract(q, r, out=out)
     p *= f.T
     instrument.count(2 * f.size)
     instrument.alloc(p.size)
@@ -84,7 +90,7 @@ def compute_p(inst, W):
     f = forward_f(inst, W)
     c = residual_from_f(f, inst)
     q = q_from_c(c, inst)
-    return split_p(f, q, softmax_dots(c, inst.Y))
+    return split_p(f, q, softmax_dots(c, inst.Y), out=q)
 
 
 def grad_wrt_W(inst, W):

@@ -152,8 +152,9 @@ def gen_reduction(seed, L, r_red, b_bound):
 def reduction_output(ri, X=None):
     """Row-normalized exp(A1 X A2.T / r) @ A3, the pre-embedding forward."""
     X = ri.X if X is None else X
-    S = (ri.A1 @ X) @ ri.A2.T / ri.r_red
-    return softmax_rows(S) @ ri.A3
+    S = (ri.A1 @ X) @ ri.A2.T
+    S /= ri.r_red
+    return softmax_rows(S, out=S) @ ri.A3
 
 
 def reduction_loss(ri, X=None):

@@ -15,8 +15,10 @@ from lora_kernels.attention import (
     forward_f,
     forward_output,
     general_loss,
+    general_scores,
     guard_limit,
     loss,
+    q_from_c,
     residual_c,
     score_q,
     scores,
@@ -136,6 +138,44 @@ class TestForward:
             scores(inst, np.array([[1.0]]))
         assert info.value.max_abs_score == pytest.approx(900.0)
 
+    def test_softmax_out_ownership(self, rng):
+        # Without out the scores are left bit-identical; with out the rows
+        # are built in that buffer, with the same arithmetic.
+        S = rng.standard_normal((5, 5))
+        kept = S.copy()
+        f = softmax_rows(S)
+        assert np.array_equal(S, kept)
+        assert not np.shares_memory(f, S)
+        f_in = softmax_rows(S, out=S)
+        assert np.shares_memory(f_in, S)
+        assert np.array_equal(f_in, f)
+
+    def test_integer_scores(self):
+        # The in-place passes need a float buffer; integer scores get one.
+        S = np.array([[1, 2], [3, -1]])
+        assert np.array_equal(softmax_rows(S), softmax_rows(S.astype(float)))
+
+    def test_negative_score_overflow_raises(self):
+        # Every score is -900, so only the -S.min() side of the check sees it.
+        inst = AttentionInstance(
+            C1=np.full((2, 1), 30.0),
+            C2=np.full((2, 1), -30.0),
+            C3=np.zeros((2, 1)),
+            Y=np.zeros((2, 1)),
+        )
+        with pytest.raises(ScoreOverflowError) as info:
+            scores(inst, np.array([[1.0]]))
+        assert info.value.max_abs_score == pytest.approx(900.0)
+        one, zero = np.ones((1, 1)), np.zeros((1, 1))
+        g = GeneralInstance(
+            XQ=inst.C1, XK=inst.C2, XV=inst.C3,
+            WQstar=one, WKstar=one, WVstar=one, Y=inst.Y,
+        )
+        adp = LoraAdapter(B=zero, A=zero, r=1, alpha=1.0)
+        with pytest.raises(ScoreOverflowError) as info:
+            general_scores(g, adp, adp)
+        assert info.value.max_abs_score == pytest.approx(900.0)
+
     def test_weight_shape_checked(self, rng):
         inst = random_instance(rng, 4, 2)
         with pytest.raises(DimensionError):
@@ -229,6 +269,15 @@ class TestLossAndIntermediates:
         W = rng.standard_normal((2, 2))
         c = forward_f(inst, W) @ inst.C3 - inst.Y
         assert np.abs(score_q(inst, W) - inst.C3 @ c.T).max() <= 1e-14
+
+    def test_q_is_column_major(self, rng):
+        # Column j of q is contiguous, which keeps split_p's pass against f.T
+        # in memory order.
+        inst = random_instance(rng, 6, 3)
+        c = rng.standard_normal((6, 3))
+        q = q_from_c(c, inst)
+        assert q.flags.f_contiguous
+        assert np.abs(q - inst.C3 @ c.T).max() <= 1e-14
 
     def test_forward_output_shape(self, rng):
         inst = random_instance(rng, 5, 3)

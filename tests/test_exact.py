@@ -15,6 +15,7 @@ from lora_kernels.attention import (
     compose_special_constants,
     forward_f,
     general_loss,
+    q_from_c,
     softmax_dots,
     softmax_rows,
 )
@@ -58,6 +59,16 @@ def random_adapter(rng, d, r, alpha=None):
         r=r,
         alpha=float(r) if alpha is None else alpha,
     )
+
+
+def traced_peak(fn, *args):
+    """Tracemalloc peak in bytes of one call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def zero_residual_instance(rng, L, d, W):
@@ -106,6 +117,24 @@ class TestComputeP:
             qj = q[:, j]
             assert np.abs(p[:, j] - (fj * qj - fj * (fj @ qj))).max() <= 1e-13
 
+    def test_split_p_out_ownership(self, rng):
+        # Without out, f and q are left bit-identical; with out=q, p is
+        # written over q, with the same arithmetic.
+        inst = random_instance(rng, 6, 3)
+        W = rng.standard_normal((3, 3))
+        f = forward_f(inst, W)
+        c = f @ inst.C3 - inst.Y
+        q = q_from_c(c, inst)
+        r = softmax_dots(c, inst.Y)
+        f_kept, q_kept = f.copy(), q.copy()
+        p = split_p(f, q, r)
+        assert np.array_equal(f, f_kept)
+        assert np.array_equal(q, q_kept)
+        assert not np.shares_memory(p, q)
+        p_in = split_p(f, q, r, out=q)
+        assert np.shares_memory(p_in, q)
+        assert np.array_equal(p_in, p)
+
     def test_split_p_shape_check(self):
         with pytest.raises(DimensionError):
             split_p(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(3))
@@ -131,8 +160,8 @@ class TestGradW:
         assert rel_err(grad_wrt_W(inst, W), fd_grad_W(inst, W)) <= 1e-5
 
     def test_peak_memory_is_three_square_arrays(self, rng):
-        # Only f, q and p are L x L; the softmax needs three at its peak too
-        # (scores, shifted scores, exp), so 3.25 leaves room for the L x d rest.
+        # Three L x L arrays, with 0.25 of room for the L x d rest;
+        # test_peak_memory_is_two_square_arrays holds the tighter bound.
         L = 512
         inst = random_instance(rng, L, 4)
         W = rng.standard_normal((4, 4))
@@ -143,6 +172,14 @@ class TestGradW:
         finally:
             tracemalloc.stop()
         assert peak <= 3.25 * L * L * 8
+
+    def test_peak_memory_is_two_square_arrays(self, rng):
+        # f is built in the score buffer and p over q, so only two L x L
+        # arrays are alive at once; 2.25 leaves room for the L x d rest.
+        L = 512
+        inst = random_instance(rng, L, 4)
+        W = rng.standard_normal((4, 4))
+        assert traced_peak(grad_wrt_W, inst, W) <= 2.25 * L * L * 8
 
 
 class TestGradAdaptersSpecial:
@@ -318,6 +355,16 @@ class TestGradAdaptersGeneral:
         pair_q, pair_k = grad_adapters_general(g, adpQ, adpK)
         for G in (pair_q.GA, pair_q.GB, pair_k.GA, pair_k.GB):
             assert np.abs(G).max() <= 1e-13
+
+    def test_peak_memory_is_two_square_arrays(self, rng):
+        # One p serves both sides, so the two-sided path holds the special
+        # path's two L x L arrays.
+        L = 512
+        g = self.random_general(rng, L, 4)
+        adpQ = random_adapter(rng, 4, 2)
+        adpK = random_adapter(rng, 4, 2)
+        peak = traced_peak(grad_adapters_general, g, adpQ, adpK)
+        assert peak <= 2.25 * L * L * 8
 
     def test_adapter_dimension_mismatch(self, rng):
         g = self.random_general(rng, 4, 2)
