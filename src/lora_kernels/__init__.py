@@ -51,9 +51,7 @@ from .lowrank import (
     KhatriRaoFactor,
     LowRankFactor,
     PolyApproxConfig,
-    approx_c,
     approx_f_poly,
-    approx_f_svd,
     approx_grad_general,
     approx_grad_special,
     approx_p1,
@@ -62,7 +60,7 @@ from .lowrank import (
     grad_from_f_factor,
     select_degree,
 )
-from .oracle import PMatrices, jacobian_blocks
+from .oracle import PMatrices, approx_f_svd, jacobian_blocks
 from .tensorops import (
     PermutationMap,
     colwise_kronecker,
@@ -114,7 +112,6 @@ __all__ = [
     "KhatriRaoFactor",
     "LowRankFactor",
     "PolyApproxConfig",
-    "approx_c",
     "approx_f_poly",
     "approx_f_svd",
     "approx_grad_general",

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import instrument
 from .errors import DimensionError, ScoreOverflowError, SizeGuardError
-from .tensorops import as_matrix
+from .tensorops import as_matrix, check_positive_finite
 
 # Largest |score| exp can take in float64 before overflowing to inf.
 SCORE_LIMIT = 709.78
@@ -114,8 +114,7 @@ class LoraAdapter:
             )
         if not 1 <= self.r <= d:
             raise DimensionError(f"rank r={self.r} must satisfy 1 <= r <= d={d}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        check_positive_finite("alpha", self.alpha)
 
     @property
     def d(self):
@@ -277,36 +276,6 @@ class GeneralInstance:
         return self.XQ.shape[1]
 
 
-@dataclass(frozen=True)
-class GeneralConstants:
-    """Composed constants for the two-sided (query and key) gradient paths.
-
-    The query-side score factorization is S = CQ1 @ WQ @ CQ2.T with the key
-    weight folded into CQ2; the key-side one is S = CK1 @ WK.T @ CK2.T with
-    the query weight folded into CK1. C3 = XV @ WVstar is shared. WQ and WK
-    are the effective weights the constants were composed at.
-    """
-
-    CK1: np.ndarray
-    CK2: np.ndarray
-    CQ1: np.ndarray
-    CQ2: np.ndarray
-    C3: np.ndarray
-    WQ: np.ndarray
-    WK: np.ndarray
-
-    def sides(self, Y):
-        """The two special-case problems (instance, weight): Q at WQ, K at WK.T.
-
-        Both share the score matrix S. The key side's weight gradient is
-        dL/d(WK.T), so its transpose is dL/dWK.
-        """
-        return (
-            (AttentionInstance(C1=self.CQ1, C2=self.CQ2, C3=self.C3, Y=Y), self.WQ),
-            (AttentionInstance(C1=self.CK1, C2=self.CK2, C3=self.C3, Y=Y), self.WK.T),
-        )
-
-
 def compose_special_constants(g, alpha, r, adapter_v=None):
     """Collapse a raw instance to the query-side special case.
 
@@ -315,8 +284,9 @@ def compose_special_constants(g, alpha, r, adapter_v=None):
     given. The key and value weights are frozen at these values; only the
     query weight stays trainable through the returned instance.
     """
-    if r < 1 or alpha <= 0:
-        raise ValueError(f"need r >= 1 and alpha > 0, got r={r}, alpha={alpha}")
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r={r}")
+    check_positive_finite("alpha", alpha)
     WV = g.WVstar
     if adapter_v is not None:
         if adapter_v.d != g.d:
@@ -340,24 +310,23 @@ def adapted_general_weights(g, adpQ, adpK):
 
 
 def compose_general_constants(g, adpQ, adpK):
-    """Build (CK1, CK2, CQ1, CQ2, C3, WQ, WK) from the instance and adapters.
+    """The two special-case problems (instance, weight) of the two-sided problem.
 
-    Must be recomputed whenever either adapter changes: CK1 bakes in the
-    current query weight and CQ2 the current key weight.
+    Both factor the one score matrix S = XQ @ WQ @ WK.T @ XK.T. The query
+    side is (XQ, XK @ WK) at WQ; the key side is (XQ @ WQ, XK) at WK.T, so
+    its weight gradient is dL/d(WK.T) and its transpose is dL/dWK. Both
+    share C3 = XV @ WVstar and Y. Must be recomputed whenever either adapter
+    changes: each side bakes in the other side's current weight.
     """
     WQ, WK = adapted_general_weights(g, adpQ, adpK)
     d = g.d
     instrument.count_matmul(g.L, d, d)
     instrument.count_matmul(g.L, d, d)
     instrument.count_matmul(g.L, d, d)
-    return GeneralConstants(
-        CK1=g.XQ @ WQ,
-        CK2=g.XK,
-        CQ1=g.XQ,
-        CQ2=g.XK @ WK,
-        C3=g.XV @ g.WVstar,
-        WQ=WQ,
-        WK=WK,
+    C3 = g.XV @ g.WVstar
+    return (
+        (AttentionInstance(C1=g.XQ, C2=g.XK @ WK, C3=C3, Y=g.Y), WQ),
+        (AttentionInstance(C1=g.XQ @ WQ, C2=g.XK, C3=C3, Y=g.Y), WK.T),
     )
 
 

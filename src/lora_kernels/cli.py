@@ -23,16 +23,12 @@ from .harness import (
     reduction_output,
     sweep_gamma,
 )
-from .lowrank import (
-    PolyApproxConfig,
-    approx_f_poly,
-    approx_f_svd,
-    grad_from_f_factor,
-)
+from .lowrank import PolyApproxConfig, approx_f_poly, grad_from_f_factor
 from .matio import load_bundle, save_bundle, save_matrix
 from .oracle import (
     KRON_GUARD_D,
     KRON_GUARD_L,
+    approx_f_svd,
     dense_kron_grad_oracle,
     fd_grad,
     fd_grad_adapter,

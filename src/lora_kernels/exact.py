@@ -13,18 +13,15 @@ is compared. The stages are
 
 with the adapter gradients read off as dL/dA = B.T @ dL/dW and
 dL/dB = dL/dW @ A.T. p stores column j against softmax row j, so the matrix
-sandwiched between C1.T and C2 is p.T, whose row j is p_j. The dense split
-p = p1 - p2 is left to the oracle.
+sandwiched between C1.T and C2 is p.T, whose row j is p_j.
 
 A gradient holds two L x L buffers. The scores S are exponentiated and
 normalized in place into f, and p is written over q. q is stored
 column-major, like f.T, so each L x L pass reads and writes in memory order.
 
 The general problem is two copies of the special case that share one score
-matrix: the query side at WQ and the key side at WK.T, whose weight gradient
-is transposed to give dL/dWK. One p therefore serves both sides, and only
-the sandwich constants differ. The transpose is a plain .T; transpose_perm
-and PermutationMap serve only criterion 8 and the tests.
+matrix (compose_general_constants). One p therefore serves both sides, and
+only the sandwich constants differ.
 """
 
 from dataclasses import dataclass
@@ -122,8 +119,7 @@ def grad_adapters_general(g, adpQ, adpK):
     constants. The query weight gradient carries the adapter scale alpha/r;
     the key side's is transposed back from dL/d(WK.T).
     """
-    consts = compose_general_constants(g, adpQ, adpK)
-    (inst_q, WQ), (inst_k, _) = consts.sides(g.Y)
+    (inst_q, WQ), (inst_k, _) = compose_general_constants(g, adpQ, adpK)
     g_rows = compute_p(inst_q, WQ).T
     NQ = _sandwich(inst_q.C1, g_rows, inst_q.C2)
     NK = _sandwich(inst_k.C1, g_rows, inst_k.C2)

@@ -32,7 +32,7 @@ from .lowrank import (
     monomial_count,
     select_degree,
 )
-from .tensorops import check_norm_bound
+from .tensorops import check_norm_bound, check_positive_finite
 
 BENCH_HEADER = ("L", "path", "wall_ns", "ops", "slope")
 SWEEP_HEADER = ("gamma", "degree", "rank_k1", "f_err", "grad_err", "infeasible")
@@ -82,8 +82,7 @@ def gen_instance(seed, L, d, r, gamma_target):
     """
     if L < 1 or d < 1 or not 1 <= r <= d:
         raise DimensionError(f"invalid sizes L={L}, d={d}, r={r}")
-    if gamma_target <= 0:
-        raise ValueError(f"gamma_target must be positive, got {gamma_target}")
+    check_positive_finite("gamma_target", gamma_target)
     rng = np.random.default_rng(seed)
     C1 = rng.standard_normal((L, d))
     C2 = rng.standard_normal((L, d))

@@ -27,13 +27,11 @@ Two interchangeable sources for the f factor:
   production backend, with cost independent of L x L and a rank k1 that
   explodes combinatorially as the norm bound grows (the phase transition
   this library exists to exhibit).
-* approx_f_svd: truncated SVD of the densely computed f; validation only,
-  used to test the downstream chain in isolation at machine precision.
+* oracle.approx_f_svd: truncated SVD of the densely computed f; validation
+  only, used to test the downstream chain in isolation at machine precision.
 
 The two-sided problem is the same pipeline run once per side on that side's
-constants: the query side at WQ and the key side as the special case at
-WK.T, with its weight gradient transposed. That transpose is a plain .T;
-transpose_perm and PermutationMap serve only criterion 8 and the tests.
+constants (compose_general_constants).
 """
 
 import math
@@ -46,7 +44,6 @@ from .attention import (
     adapted_weight,
     check_dense_guard,
     compose_general_constants,
-    forward_f,
     softmax_dots,
 )
 from .errors import (
@@ -56,7 +53,12 @@ from .errors import (
     RankInfeasibleError,
 )
 from .exact import project
-from .tensorops import check_norm_bound, colwise_kronecker
+from .tensorops import (
+    as_matrix,
+    check_norm_bound,
+    check_positive_finite,
+    colwise_kronecker,
+)
 
 # Hard ceiling on the degree search: the remainder rule always terminates,
 # this only turns a logic bug into a loud failure.
@@ -73,7 +75,6 @@ class LowRankFactor:
 
     U: np.ndarray
     V: np.ndarray
-    k: int
 
     def __post_init__(self):
         if self.U.ndim != 2 or self.U.shape != self.V.shape:
@@ -81,14 +82,14 @@ class LowRankFactor:
                 f"factor halves must share shape, got {self.U.shape} "
                 f"and {self.V.shape}"
             )
-        if self.k != self.U.shape[1]:
-            raise DimensionError(
-                f"declared rank {self.k} does not match {self.U.shape[1]} columns"
-            )
 
     @property
     def L(self):
         return self.U.shape[0]
+
+    @property
+    def k(self):
+        return self.U.shape[1]
 
     def dense(self):
         """Materialize U @ V.T. Test support; guarded like the exact path."""
@@ -178,11 +179,8 @@ class PolyApproxConfig:
     eps_target: float
 
     def __post_init__(self):
-        for name in ("gamma", "eps_target"):
-            value = getattr(self, name)
-            # NaN fails every comparison, so require a positive finite value.
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        check_positive_finite("gamma", self.gamma)
+        check_positive_finite("eps_target", self.eps_target)
         if self.degree is not None and self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
 
@@ -192,7 +190,7 @@ def monomial_count(d, g):
     return math.comb(d + g, g)
 
 
-def select_degree(cfg, d, max_rank=None):
+def select_degree(cfg, d):
     """Smallest Taylor degree meeting eps_target on scores bounded by d*gamma^2.
 
     The scores C1 W C2.T are entrywise bounded by R = d * gamma^2 when both
@@ -201,9 +199,6 @@ def select_degree(cfg, d, max_rank=None):
     eps_target * e^(-R) makes the error small relative to the smallest
     attainable exp value, so it survives the softmax normalization. The
     comparison runs in log space to dodge overflow at large R.
-
-    With max_rank given, a degree whose monomial count C(d+g, g) exceeds it
-    raises RankInfeasibleError; that error is the phase-transition signal.
     """
     R = d * cfg.gamma * cfg.gamma
     log_eps = math.log(cfg.eps_target)
@@ -214,8 +209,6 @@ def select_degree(cfg, d, max_rank=None):
             log_rem = (g + 1) * math.log(R) + 2.0 * R - math.lgamma(g + 2)
             ok = log_rem <= log_eps
         if ok:
-            if max_rank is not None and monomial_count(d, g) > max_rank:
-                raise RankInfeasibleError(g, monomial_count(d, g), max_rank)
             return g
     raise RuntimeError(f"degree search did not terminate below {_DEGREE_CEILING}")
 
@@ -269,8 +262,12 @@ def approx_f_poly(inst, W, cfg, max_rank=None):
     U1 is the row-normalized feature map of C1 @ W, V1 the feature map of
     C2; U1 @ V1.T approximates f entrywise within eps_target whenever the
     norm preconditions hold. Never touches an L x L array.
+
+    With max_rank given, a degree, adaptive or pinned, whose monomial count
+    k1 = C(d+g, g) exceeds it raises RankInfeasibleError; that error is the
+    phase-transition signal.
     """
-    W = np.asarray(W)
+    W = as_matrix(W, "W")
     d = inst.d
     if W.shape != (d, d):
         raise DimensionError(f"W must be {d} x {d}, got {W.shape}")
@@ -278,7 +275,7 @@ def approx_f_poly(inst, W, cfg, max_rank=None):
     instrument.count_matmul(inst.L, d, d)
     check_norm_bound("C1 @ W", CW, cfg.gamma)
     check_norm_bound("C2", inst.C2, cfg.gamma)
-    g = cfg.degree if cfg.degree is not None else select_degree(cfg, d, max_rank)
+    g = cfg.degree if cfg.degree is not None else select_degree(cfg, d)
     k1 = monomial_count(d, g)
     if max_rank is not None and k1 > max_rank:
         raise RankInfeasibleError(g, k1, max_rank)
@@ -297,21 +294,16 @@ def approx_f_poly(inst, W, cfg, max_rank=None):
     U1 = Phi1 / norm[:, None]
     instrument.count(Phi1.size)
     instrument.alloc(U1.size)
-    return LowRankFactor(U=U1, V=Phi2, k=k1)
+    return LowRankFactor(U=U1, V=Phi2)
 
 
-def approx_f_svd(inst, W, k):
-    """Best rank-k factor of the densely computed f. Validation backend."""
-    L = inst.L
-    if not 1 <= k <= L:
-        raise DimensionError(f"rank k={k} must satisfy 1 <= k <= L={L}")
-    f = forward_f(inst, W)
-    u, s, vh = np.linalg.svd(f, full_matrices=False)
-    return LowRankFactor(U=u[:, :k] * s[:k], V=vh[:k].T, k=k)
+def approx_q(f_lr, inst):
+    """Factor of q = C3 @ c.T built from the f factor, exactly, at rank d.
 
-
-def approx_c(f_lr, inst):
-    """Residual c = U1 @ (V1.T @ C3) - Y, L x d, with the f factor kept implicit."""
+    U2 = C3 and V2 = c = U1 @ (V1.T @ C3) - Y, the L x d residual with f
+    kept factored; the product U2 @ V2.T equals q with no approximation
+    beyond f's own.
+    """
     if f_lr.L != inst.L:
         raise DimensionError("factor and instance disagree on L")
     M = f_lr.V.T @ inst.C3
@@ -321,16 +313,7 @@ def approx_c(f_lr, inst):
     instrument.count_matmul(inst.L, f_lr.k, inst.d)
     instrument.count(c.size)
     instrument.alloc(c.size)
-    return c
-
-
-def approx_q(f_lr, inst):
-    """Factor of q = C3 @ c.T built from the f factor, exactly, at rank d.
-
-    U2 = C3 and V2 = c, the residual with f kept factored; the product
-    U2 @ V2.T equals q with no approximation beyond f's own.
-    """
-    return LowRankFactor(U=inst.C3, V=approx_c(f_lr, inst), k=inst.d)
+    return LowRankFactor(U=inst.C3, V=c)
 
 
 def approx_p1(f_lr, q_lr):
@@ -355,7 +338,7 @@ def approx_p2(f_lr, r):
     V4 = f_lr.U * r[:, None]
     instrument.count(V4.size)
     instrument.alloc(V4.size)
-    return LowRankFactor(U=f_lr.V, V=V4, k=f_lr.k)
+    return LowRankFactor(U=f_lr.V, V=V4)
 
 
 def _grad_W(f_lr, inst):
@@ -388,14 +371,12 @@ def approx_grad_special(inst, Wstar, adp, cfg):
 def approx_grad_general(g, adpQ, adpK, cfg):
     """Almost-linear gradient pairs (Q-side, K-side) of the two-sided problem.
 
-    Each side is the special case on its own constants: the query side at
-    WQ and the key side at WK.T, whose weight gradient is transposed back to
-    dL/dWK. The sides run one after the other, so only one side's factors
-    are alive at a time.
+    Each side is the special case on its own constants; the key side's
+    weight gradient is transposed back to dL/dWK. The sides run one after
+    the other, so only one side's factors are alive at a time.
     """
-    consts = compose_general_constants(g, adpQ, adpK)
     grads = []
-    for side, (inst, W) in zip("QK", consts.sides(g.Y)):
+    for side, (inst, W) in zip("QK", compose_general_constants(g, adpQ, adpK)):
         try:
             f_lr = approx_f_poly(inst, W, cfg)
         except NormBoundError as err:

@@ -1,12 +1,14 @@
 """Independent ground-truth routes for validating the gradient code.
 
-Three families, all deliberately slow and simple:
+Four families, all deliberately slow and simple:
 
 * central finite differences of the loss (fd_grad and its wrappers),
 * a literal per-column softmax-Jacobian build (dense_p_oracle) that
   materializes diag(f_j) and f_j f_j^T, the split p = p1 - p2 (PMatrices),
 * the fully materialized Kronecker route (dense_kron_grad_oracle) that forms
-  C1 kron C2 and the dense adapter Jacobians and works entirely on vecs.
+  C1 kron C2 and the dense adapter Jacobians and works entirely on vecs,
+* the SVD backend (approx_f_svd), a best rank-k factor of the dense f that
+  feeds the factored chain with a known f error.
 
 Size guards hard-fail instead of truncating; these functions exist to settle
 orientation and sign questions, not to run at scale.
@@ -25,8 +27,9 @@ from .attention import (
     q_from_c,
     residual_from_f,
 )
-from .errors import NonFiniteError, SizeGuardError
+from .errors import DimensionError, NonFiniteError, SizeGuardError
 from .exact import GradientPair
+from .lowrank import LowRankFactor
 from .tensorops import kronecker, matrixize, subblock
 
 DENSE_P_GUARD_L = 64
@@ -38,19 +41,19 @@ JACOBIAN_GUARD_D = 6
 FD_STEP = 1e-5
 
 
-def fd_grad(fn, X, h=FD_STEP):
+def fd_grad(fn, X):
     """Central-difference gradient of a scalar function of a matrix.
 
-    The step for entry (i, j) is h * max(1, |X[i, j]|), balancing truncation
-    against round-off at double precision. Raises NonFiniteError if fn
-    returns a non-finite value at any probe point.
+    The step for entry (i, j) is FD_STEP * max(1, |X[i, j]|), balancing
+    truncation against round-off at double precision. Raises NonFiniteError
+    if fn returns a non-finite value at any probe point.
     """
     X = np.asarray(X, dtype=np.float64)
     grad = np.empty_like(X)
     it = np.nditer(X, flags=["multi_index"])
     for entry in it:
         idx = it.multi_index
-        step = h * max(1.0, abs(float(entry)))
+        step = FD_STEP * max(1.0, abs(float(entry)))
         probe = X.copy()
         probe[idx] = X[idx] + step
         hi = fn(probe)
@@ -64,9 +67,9 @@ def fd_grad(fn, X, h=FD_STEP):
     return grad
 
 
-def fd_grad_W(inst, W, h=FD_STEP):
+def fd_grad_W(inst, W):
     """Finite-difference d x d gradient of loss(inst, .) at W."""
-    return fd_grad(lambda Wp: loss(inst, Wp), W, h=h)
+    return fd_grad(lambda Wp: loss(inst, Wp), W)
 
 
 def _replace_factor(adp, which, value):
@@ -77,7 +80,7 @@ def _replace_factor(adp, which, value):
     raise ValueError(f"which must be 'A' or 'B', got {which!r}")
 
 
-def fd_grad_adapter(inst, Wstar, adp, which, h=FD_STEP):
+def fd_grad_adapter(inst, Wstar, adp, which):
     """Finite-difference gradient of the special-case loss w.r.t. one factor."""
 
     def at(factor):
@@ -85,10 +88,10 @@ def fd_grad_adapter(inst, Wstar, adp, which, h=FD_STEP):
         return loss(inst, adapted_weight(Wstar, pert))
 
     start = adp.A if which == "A" else adp.B
-    return fd_grad(at, start, h=h)
+    return fd_grad(at, start)
 
 
-def fd_grad_general(g, adpQ, adpK, side, which, h=FD_STEP):
+def fd_grad_general(g, adpQ, adpK, side, which):
     """Finite-difference gradient of the two-sided loss w.r.t. one factor."""
     if side not in ("Q", "K"):
         raise ValueError(f"side must be 'Q' or 'K', got {side!r}")
@@ -100,7 +103,7 @@ def fd_grad_general(g, adpQ, adpK, side, which, h=FD_STEP):
 
     base = adpQ if side == "Q" else adpK
     start = base.A if which == "A" else base.B
-    return fd_grad(at, start, h=h)
+    return fd_grad(at, start)
 
 
 @dataclass(frozen=True)
@@ -181,3 +184,13 @@ def jacobian_blocks(adp):
     J_B = kronecker(adp.B, eye)
     J_A = kronecker(eye, adp.A.T)
     return J_B, J_A
+
+
+def approx_f_svd(inst, W, k):
+    """Best rank-k factor of the densely computed f. Validation backend."""
+    L = inst.L
+    if not 1 <= k <= L:
+        raise DimensionError(f"rank k={k} must satisfy 1 <= k <= L={L}")
+    f = forward_f(inst, W)
+    u, s, vh = np.linalg.svd(f, full_matrices=False)
+    return LowRankFactor(U=u[:, :k] * s[:k], V=vh[:k].T)

@@ -6,7 +6,7 @@ Conventions used by the whole library:
 * kronecker follows the standard layout, (A kron B)[ia*Lb + ib, ja*db + jb]
   = A[ia, ja] * B[ib, jb], which pairs with row-major vec through the tensor
   trick vec(A @ X @ B.T) = (A kron B) @ vec(X).
-* subblock(K, j) of an (La*Lb, c) matrix is its j-th row block of Lb rows,
+* subblock(K, j) of an (L*L, c) matrix is its j-th row block of L rows,
   0-indexed.
 * colwise_kronecker is the all-pairs column product: for A with k1 columns
   and B with k2 columns the result has k1*k2 columns and column s*k2 + t
@@ -36,14 +36,20 @@ def as_matrix(a, name="matrix"):
 
 
 def check_norm_bound(name, mat, bound):
-    """Raise NormBoundError when max |mat| exceeds bound.
+    """Raise NormBoundError when max |mat| exceeds bound or is NaN.
 
     The relative slack of 1e-12 lets instances rescaled to sit exactly at
     the bound pass on the last float64 ulp.
     """
     measured = float(np.abs(mat).max())
-    if measured > bound * (1.0 + 1e-12):
+    if not measured <= bound * (1.0 + 1e-12):
         raise NormBoundError(name, measured, bound)
+
+
+def check_positive_finite(name, value):
+    """Raise ValueError unless value is positive and finite (NaN fails too)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def vectorize(X):
@@ -82,30 +88,24 @@ def kronecker(A, B):
     return out
 
 
-def subblock(K, j, block_rows=None):
-    """Row block j of K (0-indexed), each block block_rows tall.
+def subblock(K, j):
+    """Row block j of K (0-indexed).
 
-    With block_rows omitted, K must have a square row count L*L and the
-    blocks are the L stacked L-row groups, matching the layout of
-    kronecker(C1, C2) for L x d factors.
+    K must have a square row count L*L; the blocks are its L stacked L-row
+    groups, matching the layout of kronecker(C1, C2) for L x d factors.
     """
     K = np.asarray(K)
     if K.ndim != 2:
         raise DimensionError("subblock expects a matrix")
-    if block_rows is None:
-        block_rows = math.isqrt(K.shape[0])
-        if block_rows * block_rows != K.shape[0]:
-            raise DimensionError(
-                f"cannot infer block size: row count {K.shape[0]} is not square"
-            )
-    if block_rows < 1 or K.shape[0] % block_rows != 0:
+    L = math.isqrt(K.shape[0])
+    if L < 1 or L * L != K.shape[0]:
         raise DimensionError(
-            f"row count {K.shape[0]} is not a multiple of block size {block_rows}"
+            f"cannot infer block size: row count {K.shape[0]} is not a "
+            "positive square"
         )
-    nblocks = K.shape[0] // block_rows
-    if not 0 <= j < nblocks:
-        raise IndexError(f"block index {j} out of range for {nblocks} blocks")
-    return K[j * block_rows:(j + 1) * block_rows, :]
+    if not 0 <= j < L:
+        raise IndexError(f"block index {j} out of range for {L} blocks")
+    return K[j * L:(j + 1) * L, :]
 
 
 def colwise_kronecker(A, B):

@@ -37,12 +37,12 @@ from lora_kernels.harness import (
 from lora_kernels.lowrank import (
     PolyApproxConfig,
     approx_f_poly,
-    approx_f_svd,
     approx_grad_special,
     grad_from_f_factor,
     monomial_count,
 )
 from lora_kernels.oracle import (
+    approx_f_svd,
     dense_kron_grad_oracle,
     fd_grad,
     fd_grad_adapter,

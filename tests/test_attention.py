@@ -1,5 +1,7 @@
 """Forward pass, loss, residual/score intermediates, and instance composition."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -85,8 +87,11 @@ class TestInstanceTypes:
             LoraAdapter(B=np.zeros((3, 2)), A=np.zeros((1, 3)), r=2, alpha=1.0)
 
     def test_adapter_alpha_positive(self):
-        with pytest.raises(ValueError):
-            LoraAdapter(B=np.zeros((2, 1)), A=np.zeros((1, 2)), r=1, alpha=0.0)
+        # alpha=inf would zero the frozen weight in adapted_weight (r/alpha)
+        # and alpha=nan would make every gradient NaN.
+        for alpha in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                LoraAdapter(B=np.zeros((2, 1)), A=np.zeros((1, 2)), r=1, alpha=alpha)
 
     def test_adapted_weight_folds_scale(self, rng):
         B = rng.standard_normal((3, 2))
@@ -312,14 +317,43 @@ class TestComposition:
         WV = g.WVstar + adp_v.scale * adp_v.delta()
         assert np.abs(inst.C3 - g.XV @ WV).max() <= 1e-14
 
+    def test_special_constants_reject_bad_scale(self, rng):
+        g = random_general(rng, 4, 2)
+        with pytest.raises(ValueError):
+            compose_special_constants(g, alpha=1.0, r=0)
+        # The error names alpha, not the non-finite C1 it would produce.
+        for alpha in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                compose_special_constants(g, alpha=alpha, r=1)
+
     def test_zero_query_adapter_general(self, rng):
         g = random_general(rng, 4, 2)
         zero = LoraAdapter(B=np.zeros((2, 1)), A=np.zeros((1, 2)), r=1, alpha=1.0)
-        consts = compose_general_constants(g, zero, zero)
-        assert np.abs(consts.CK1 - g.XQ @ g.WQstar).max() <= 1e-14
-        assert np.array_equal(consts.CK2, g.XK)
-        assert np.array_equal(consts.CQ1, g.XQ)
-        assert np.abs(consts.CQ2 - g.XK @ g.WKstar).max() <= 1e-14
+        (inst_q, WQ), (inst_k, WKT) = compose_general_constants(g, zero, zero)
+        assert np.abs(inst_k.C1 - g.XQ @ g.WQstar).max() <= 1e-14
+        assert np.array_equal(inst_k.C2, g.XK)
+        assert np.array_equal(inst_q.C1, g.XQ)
+        assert np.abs(inst_q.C2 - g.XK @ g.WKstar).max() <= 1e-14
+        assert np.array_equal(WQ, g.WQstar)
+        assert np.array_equal(WKT, g.WKstar.T)
+
+    def test_sides_share_one_score_matrix(self, rng):
+        # Both general paths factor S once per side; off zero adapters and
+        # off unit scale (alpha != r) the two sides must still agree on S.
+        g = random_general(rng, 6, 3)
+        adpQ, adpK = (
+            LoraAdapter(
+                B=rng.standard_normal((3, 2)),
+                A=rng.standard_normal((2, 3)),
+                r=2,
+                alpha=alpha,
+            )
+            for alpha in (5.0, 0.5)
+        )
+        (inst_q, WQ), (inst_k, WKT) = compose_general_constants(g, adpQ, adpK)
+        S = general_scores(g, adpQ, adpK)
+        assert np.abs(scores(inst_q, WQ) - S).max() <= 1e-12
+        assert np.abs(scores(inst_k, WKT) - S).max() <= 1e-12
 
     def test_zero_adapters_match_special_loss(self, rng):
         # With both adapters zero the two-sided loss equals the special-case

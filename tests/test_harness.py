@@ -1,6 +1,7 @@
 """Instance generation, benchmark/sweep tables, and the embedding check."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -52,8 +53,9 @@ class TestGenInstance:
     def test_invalid_sizes(self):
         with pytest.raises(DimensionError):
             gen_instance(0, 4, 2, 3, 0.5)
-        with pytest.raises(ValueError):
-            gen_instance(0, 4, 2, 1, -1.0)
+        for gamma in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="gamma_target"):
+                gen_instance(0, 4, 2, 1, gamma)
 
 
 class TestSlopeFitting:

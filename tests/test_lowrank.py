@@ -13,7 +13,6 @@ from lora_kernels.attention import (
     AttentionInstance,
     GeneralInstance,
     LoraAdapter,
-    adapted_general_weights,
     adapted_weight,
     compose_general_constants,
     compose_special_constants,
@@ -25,6 +24,7 @@ from lora_kernels.attention import (
 from lora_kernels.errors import (
     ApproxBreakdownError,
     DimensionError,
+    NonFiniteError,
     NormBoundError,
     RankInfeasibleError,
 )
@@ -33,9 +33,7 @@ from lora_kernels.lowrank import (
     KhatriRaoFactor,
     LowRankFactor,
     PolyApproxConfig,
-    approx_c,
     approx_f_poly,
-    approx_f_svd,
     approx_grad_general,
     approx_grad_special,
     approx_p1,
@@ -47,7 +45,7 @@ from lora_kernels.lowrank import (
     select_degree,
 )
 from lora_kernels.harness import gen_instance
-from lora_kernels.oracle import dense_p_oracle
+from lora_kernels.oracle import approx_f_svd, dense_p_oracle
 
 
 class TestConfigAndDegree:
@@ -110,16 +108,19 @@ class TestConfigAndDegree:
         assert below_g > target
 
     def test_rank_ceiling_raises(self):
+        inst, adp, Wstar = gen_instance(2, 8, 4, 1, 0.5)
         cfg = PolyApproxConfig(gamma=0.5, degree=None, eps_target=1e-3)
         with pytest.raises(RankInfeasibleError) as info:
-            select_degree(cfg, 4, max_rank=64)
+            approx_f_poly(inst, adapted_weight(Wstar, adp), cfg, max_rank=64)
         assert info.value.degree == 7
         assert info.value.rank == 330
         assert info.value.limit == 64
 
     def test_rank_ceiling_permits_feasible(self):
+        inst, adp, Wstar = gen_instance(2, 8, 4, 1, 0.25)
         cfg = PolyApproxConfig(gamma=0.25, degree=None, eps_target=1e-3)
-        assert select_degree(cfg, 4, max_rank=64) == 3
+        f_lr = approx_f_poly(inst, adapted_weight(Wstar, adp), cfg, max_rank=64)
+        assert f_lr.k == monomial_count(4, 3) == 35
 
 
 class TestFeatureMap:
@@ -170,13 +171,11 @@ class TestFeatureMap:
 class TestFactorContainer:
     def test_shape_consistency(self):
         with pytest.raises(DimensionError):
-            LowRankFactor(U=np.zeros((4, 2)), V=np.zeros((4, 3)), k=2)
-        with pytest.raises(DimensionError):
-            LowRankFactor(U=np.zeros((4, 2)), V=np.zeros((4, 2)), k=3)
+            LowRankFactor(U=np.zeros((4, 2)), V=np.zeros((4, 3)))
 
     def test_rank_may_exceed_rows(self):
         # Full-rank and hand-built factors may have more columns than rows.
-        lr = LowRankFactor(U=np.zeros((3, 7)), V=np.zeros((3, 7)), k=7)
+        lr = LowRankFactor(U=np.zeros((3, 7)), V=np.zeros((3, 7)))
         assert lr.k == 7
         assert lr.L == 3
 
@@ -210,6 +209,17 @@ class TestPolyBackend:
             approx_f_poly(inst, W, cfg)
         assert info.value.bound == 0.5
         assert info.value.measured > 0.5
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # As in scores on the exact path. NaN fails every comparison, so
+        # the norm check alone would let a NaN weight through.
+        inst, adp, Wstar = gen_instance(2, 8, 3, 1, 0.5)
+        W = adapted_weight(Wstar, adp)
+        W[1, 2] = bad
+        cfg = PolyApproxConfig(gamma=0.5, degree=2, eps_target=1e-3)
+        with pytest.raises(NonFiniteError):
+            approx_f_poly(inst, W, cfg)
 
     def test_negative_normalizer_breaks_down(self):
         # Degree-1 truncation of exp at inner product -2 is negative, so the
@@ -273,7 +283,7 @@ class TestFactoredChain:
     def test_residual_exact_with_full_rank(self):
         inst, adp, Wstar = gen_instance(13, 10, 3, 1, 1.0)
         W = adapted_weight(Wstar, adp)
-        res = approx_c(self.exact_factor(inst, W), inst)
+        res = approx_q(self.exact_factor(inst, W), inst).V
         assert np.abs(res - residual_c(inst, W)).max() <= 1e-10
 
     def test_residual_zero_when_target_matches(self):
@@ -281,7 +291,7 @@ class TestFactoredChain:
         W = adapted_weight(Wstar, adp)
         Y = forward_f(inst0, W) @ inst0.C3
         inst = AttentionInstance(C1=inst0.C1, C2=inst0.C2, C3=inst0.C3, Y=Y)
-        res = approx_c(self.exact_factor(inst, W), inst)
+        res = approx_q(self.exact_factor(inst, W), inst).V
         assert np.abs(res).max() <= 1e-12
 
     def test_residual_error_bound(self):
@@ -289,7 +299,7 @@ class TestFactoredChain:
         W = adapted_weight(Wstar, adp)
         f = forward_f(inst, W)
         f_lr = approx_f_svd(inst, W, 4)
-        res = approx_c(f_lr, inst)
+        res = approx_q(f_lr, inst).V
         lhs = np.abs(res - residual_c(inst, W)).max()
         rhs = inst.d * np.abs(inst.C3).max() * np.abs(f_lr.dense() - f).max()
         assert lhs <= rhs
@@ -301,7 +311,7 @@ class TestFactoredChain:
         f_lr = self.exact_factor(inst, W)
         q_lr = approx_q(f_lr, inst)
         assert q_lr.k == inst.d == 3
-        assert np.abs(q_lr.V - approx_c(f_lr, inst)).max() <= 1e-12
+        assert np.array_equal(q_lr.U, inst.C3)
 
     def test_q_exact_with_full_rank(self):
         inst, adp, Wstar = gen_instance(13, 10, 3, 1, 1.0)
@@ -314,7 +324,7 @@ class TestFactoredChain:
         W = adapted_weight(Wstar, adp)
         f_lr = approx_f_svd(inst, W, 4)
         q_lr = approx_q(f_lr, inst)
-        c_err = np.abs(approx_c(f_lr, inst) - residual_c(inst, W)).max()
+        c_err = np.abs(q_lr.V - residual_c(inst, W)).max()
         lhs = np.abs(q_lr.dense() - score_q(inst, W)).max()
         assert lhs <= inst.d * np.abs(inst.C3).max() * c_err
 
@@ -360,8 +370,8 @@ class TestFactoredChain:
                 assert np.abs(got - want).max() <= 1e-12
 
     def test_p1_rank_law(self):
-        a = LowRankFactor(U=np.ones((4, 5)), V=np.ones((4, 5)), k=5)
-        b = LowRankFactor(U=np.ones((4, 6)), V=np.ones((4, 6)), k=6)
+        a = LowRankFactor(U=np.ones((4, 5)), V=np.ones((4, 5)))
+        b = LowRankFactor(U=np.ones((4, 6)), V=np.ones((4, 6)))
         assert approx_p1(a, b).k == 30
 
     def test_p2_keeps_f_rank(self):
@@ -373,15 +383,15 @@ class TestFactoredChain:
         assert approx_p2(f_lr, r).k == f_lr.k == 3
 
     def test_zero_factor_zero_products(self):
-        zero = LowRankFactor(U=np.zeros((5, 2)), V=np.zeros((5, 2)), k=2)
-        other = LowRankFactor(U=np.ones((5, 3)), V=np.ones((5, 3)), k=3)
+        zero = LowRankFactor(U=np.zeros((5, 2)), V=np.zeros((5, 2)))
+        other = LowRankFactor(U=np.ones((5, 3)), V=np.ones((5, 3)))
         assert np.abs(approx_p1(zero, other).dense()).max() == 0.0
         r = softmax_dots(zero.V, np.ones((5, 2)))
         assert np.abs(approx_p2(other, r).dense()).max() == 0.0
 
     def test_length_mismatch(self):
-        a = LowRankFactor(U=np.ones((4, 2)), V=np.ones((4, 2)), k=2)
-        b = LowRankFactor(U=np.ones((5, 2)), V=np.ones((5, 2)), k=2)
+        a = LowRankFactor(U=np.ones((4, 2)), V=np.ones((4, 2)))
+        b = LowRankFactor(U=np.ones((5, 2)), V=np.ones((5, 2)))
         with pytest.raises(DimensionError):
             approx_p1(a, b)
         with pytest.raises(DimensionError):
@@ -512,13 +522,9 @@ class TestApproxGeneral:
         return g, adpQ, adpK
 
     def measured_gamma(self, g, adpQ, adpK):
-        WQ, WK = adapted_general_weights(g, adpQ, adpK)
-        consts = compose_general_constants(g, adpQ, adpK)
         return max(
-            np.abs(consts.CQ1 @ WQ).max(),
-            np.abs(consts.CQ2).max(),
-            np.abs(consts.CK1 @ WK.T).max(),
-            np.abs(consts.CK2).max(),
+            max(np.abs(inst.C1 @ W).max(), np.abs(inst.C2).max())
+            for inst, W in compose_general_constants(g, adpQ, adpK)
         )
 
     def test_matches_exact_on_both_sides(self):
@@ -580,7 +586,7 @@ class TestApproxGeneral:
         s = gamma / self.measured_gamma(g, adpQ, adpK)
         g = dataclasses.replace(g, XQ=s * g.XQ, XK=s * g.XK)
         cfg = PolyApproxConfig(gamma=gamma, degree=None, eps_target=1e-3)
-        (inst_q, WQ), _ = compose_general_constants(g, adpQ, adpK).sides(g.Y)
+        (inst_q, WQ), _ = compose_general_constants(g, adpQ, adpK)
 
         def peak(fn):
             tracemalloc.start()

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lora_kernels.errors import DimensionError
+from lora_kernels.errors import DimensionError, NormBoundError
 from lora_kernels.tensorops import (
     PermutationMap,
+    check_norm_bound,
     colwise_kronecker,
     kronecker,
     matrixize,
@@ -38,6 +39,13 @@ class TestVecMat:
     def test_vectorize_rejects_non_matrix(self):
         with pytest.raises(DimensionError):
             vectorize(np.zeros((2, 2, 2)))
+
+
+class TestNormBound:
+    def test_nan_is_a_violation(self):
+        check_norm_bound("M", np.array([[0.5, -0.5]]), 0.5)
+        with pytest.raises(NormBoundError):
+            check_norm_bound("M", np.array([[0.1, np.nan]]), 0.5)
 
 
 class TestKronecker:
@@ -105,7 +113,6 @@ class TestSubblock:
         K = np.zeros((6, 2))
         with pytest.raises(DimensionError):
             subblock(K, 0)
-        assert subblock(K, 1, block_rows=3).shape == (3, 2)
 
     def test_row_block_of_sandwich(self):
         # subblock(kron(C1, C2), j) @ vec(W) is row j of C1 @ W @ C2.T
