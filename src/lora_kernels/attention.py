@@ -30,8 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import instrument
-from .errors import DimensionError, ScoreOverflowError, SizeGuardError
-from .tensorops import as_matrix, check_positive_finite
+from .errors import (
+    DimensionError,
+    ScoreOverflowError,
+    SizeGuardError,
+    as_matrix,
+    check_positive_finite,
+)
 
 # Largest |score| exp can take in float64 before overflowing to inf.
 SCORE_LIMIT = 709.78
@@ -226,11 +231,6 @@ def softmax_dots(c, Y):
 def residual_c(inst, W):
     """c = f(W) @ C3 - Y, the L x d regression residual."""
     return residual_from_f(forward_f(inst, W), inst)
-
-
-def score_q(inst, W):
-    """q = C3 @ c(W).T, the L x L score whose column j pairs with row j of f."""
-    return q_from_c(residual_c(inst, W), inst)
 
 
 def loss(inst, W):

@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the checks that raise them."""
+
+import math
+
+import numpy as np
 
 
 class LoraKernelsError(Exception):
@@ -62,3 +66,30 @@ class RankInfeasibleError(LoraKernelsError, ValueError):
             f"required polynomial degree {degree} needs rank C(d+g, g) = {rank}, "
             f"which exceeds the limit {limit}"
         )
+
+
+def as_matrix(a, name="matrix"):
+    """Validate a as a finite 2-D float64 array and return it."""
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim != 2:
+        raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.size and not np.isfinite(arr).all():
+        raise NonFiniteError(f"{name} contains NaN or infinite entries")
+    return arr
+
+
+def check_norm_bound(name, mat, bound):
+    """Raise NormBoundError when max |mat| exceeds bound or is NaN.
+
+    The relative slack of 1e-12 lets instances rescaled to sit exactly at
+    the bound pass on the last float64 ulp.
+    """
+    measured = float(np.abs(mat).max())
+    if not measured <= bound * (1.0 + 1e-12):
+        raise NormBoundError(name, measured, bound)
+
+
+def check_positive_finite(name, value):
+    """Raise ValueError unless value is positive and finite (NaN fails too)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")

@@ -21,7 +21,13 @@ from .attention import (
     forward_f,
     softmax_rows,
 )
-from .errors import ApproxBreakdownError, DimensionError, SizeGuardError
+from .errors import (
+    ApproxBreakdownError,
+    DimensionError,
+    SizeGuardError,
+    check_norm_bound,
+    check_positive_finite,
+)
 from .exact import grad_adapters_special
 from .instrument import loglog_slope
 from .lowrank import (
@@ -32,7 +38,6 @@ from .lowrank import (
     monomial_count,
     select_degree,
 )
-from .tensorops import check_norm_bound, check_positive_finite
 
 BENCH_HEADER = ("L", "path", "wall_ns", "ops", "slope")
 SWEEP_HEADER = ("gamma", "degree", "rank_k1", "f_err", "grad_err", "infeasible")
@@ -136,6 +141,9 @@ class ReductionInstance:
 
 def gen_reduction(seed, L, r_red, b_bound):
     """Seeded reduction instance with both norms tight at b_bound and E = 0."""
+    if L < 1 or r_red < 1:
+        raise DimensionError(f"invalid sizes L={L}, r_red={r_red}")
+    check_positive_finite("b_bound", b_bound)
     rng = np.random.default_rng(seed)
     A1 = rng.standard_normal((L, r_red))
     A2 = rng.standard_normal((L, r_red))
@@ -199,6 +207,8 @@ def bench_scaling(L_list, d, r, cfg, repeats=3, seed=0):
     is fitted per path and repeated in every row of that path. Sizes the
     dense guard refuses are recorded in result.skipped for the exact path.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     streams = np.random.SeedSequence(seed).spawn(len(L_list))
     per_path = {"exact": [], "approx": []}
     skipped = []

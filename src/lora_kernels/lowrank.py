@@ -9,6 +9,12 @@ is rebuilt so that nothing of size L x L, and nothing of size L x k1 * d,
 is ever formed. Orientations follow the exact path's column convention:
 the factored p1 and p2 have the column-j-per-softmax-row-j layout of p.
 
+A ck B is the columnwise Kronecker (Khatri-Rao) product colwise_kronecker:
+for A with kA columns and B with kB columns, column s * kB + t of A ck B is
+A[:, s] * B[:, t] elementwise. It satisfies the identity
+
+    (A1 ck A2) @ (B1 ck B2).T = (A1 @ B1.T) * (A2 @ B2.T)   (elementwise)
+
 * f ~ U1 @ V1.T with rank k1 (one of the two backends below).
 * q = C3 @ c.T exactly, with the L x d residual c = U1 (V1.T C3) - Y: rank d.
 * r_j = <f_j, q_j> = <c_j + Y_j, c_j>, read off c in O(L d) (softmax_dots).
@@ -35,6 +41,7 @@ constants (compose_general_constants).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +58,11 @@ from .errors import (
     DimensionError,
     NormBoundError,
     RankInfeasibleError,
-)
-from .exact import project
-from .tensorops import (
     as_matrix,
     check_norm_bound,
     check_positive_finite,
-    colwise_kronecker,
 )
+from .exact import project
 
 # Hard ceiling on the degree search: the remainder rule always terminates,
 # this only turns a logic bug into a loud failure.
@@ -104,6 +108,22 @@ class LowRankFactor:
         instrument.count_matmul(self.k, self.L, C2.shape[1])
         instrument.count_matmul(C1.shape[1], self.k, C2.shape[1])
         return left @ right
+
+
+def colwise_kronecker(A, B):
+    """All-pairs columnwise product: column s*k2 + t is A[:, s] * B[:, t]."""
+    A = np.asarray(A)
+    B = np.asarray(B)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[0] != B.shape[0]:
+        raise DimensionError(
+            f"colwise_kronecker needs equal row counts, got {A.shape} and {B.shape}"
+        )
+    L = A.shape[0]
+    k1, k2 = A.shape[1], B.shape[1]
+    out = (A[:, :, None] * B[:, None, :]).reshape(L, k1 * k2)
+    instrument.count(L * k1 * k2)
+    instrument.alloc(out.size)
+    return out
 
 
 @dataclass(frozen=True)
@@ -181,8 +201,9 @@ class PolyApproxConfig:
     def __post_init__(self):
         check_positive_finite("gamma", self.gamma)
         check_positive_finite("eps_target", self.eps_target)
-        if self.degree is not None and self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+        g = self.degree
+        if g is not None and not (isinstance(g, numbers.Integral) and g >= 0):
+            raise ValueError(f"degree must be None or an integer >= 0, got {g!r}")
 
 
 def monomial_count(d, g):

@@ -10,10 +10,24 @@ Four families, all deliberately slow and simple:
 * the SVD backend (approx_f_svd), a best rank-k factor of the dense f that
   feeds the factored chain with a known f error.
 
+The Kronecker route and the tests work on the vec/Kronecker algebra the
+paper derives the gradient with, defined here and nowhere on the gradient
+path:
+
+* vectorize is ROW-major: for X with shape (m, n), vec(X)[i*n + j] = X[i, j].
+* kronecker follows the standard layout, (A kron B)[ia*Lb + ib, ja*db + jb]
+  = A[ia, ja] * B[ib, jb], which pairs with row-major vec through the tensor
+  trick vec(A @ X @ B.T) = (A kron B) @ vec(X).
+* subblock(K, j) of an (L*L, c) matrix is its j-th row block of L rows,
+  0-indexed.
+* transpose_perm(m, n) is the index array perm with
+  vec(W.T) == vec(W)[perm] for W of shape (m, n).
+
 Size guards hard-fail instead of truncating; these functions exist to settle
 orientation and sign questions, not to run at scale.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +44,6 @@ from .attention import (
 from .errors import DimensionError, NonFiniteError, SizeGuardError
 from .exact import GradientPair
 from .lowrank import LowRankFactor
-from .tensorops import kronecker, matrixize, subblock
 
 DENSE_P_GUARD_L = 64
 KRON_GUARD_L = 8
@@ -39,6 +52,74 @@ KRON_GUARD_D = 3
 JACOBIAN_GUARD_D = 6
 
 FD_STEP = 1e-5
+
+# Refuse Kronecker products whose element count would exceed this.
+_KRON_ELEMENT_LIMIT = 2**31
+
+
+def vectorize(X):
+    """Row-major vec: stack the rows of X into one 1-D array."""
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise DimensionError(f"vectorize expects a matrix, got shape {X.shape}")
+    return X.reshape(-1)
+
+
+def matrixize(v, m, n):
+    """Inverse of vectorize: rebuild the (m, n) matrix from its row-major vec."""
+    v = np.asarray(v)
+    if v.ndim != 1:
+        raise DimensionError(f"matrixize expects a vector, got shape {v.shape}")
+    if v.size != m * n:
+        raise DimensionError(f"cannot reshape length {v.size} into ({m}, {n})")
+    return v.reshape(m, n)
+
+
+def kronecker(A, B):
+    """Dense Kronecker product with an element-count guard."""
+    A = np.asarray(A)
+    B = np.asarray(B)
+    if A.ndim != 2 or B.ndim != 2:
+        raise DimensionError("kronecker expects two matrices")
+    elements = A.shape[0] * B.shape[0] * A.shape[1] * B.shape[1]
+    if elements > _KRON_ELEMENT_LIMIT:
+        raise DimensionError(
+            f"kronecker result would hold {elements} elements, "
+            f"over the {_KRON_ELEMENT_LIMIT} limit"
+        )
+    return np.kron(A, B)
+
+
+def subblock(K, j):
+    """Row block j of K (0-indexed).
+
+    K must have a square row count L*L; the blocks are its L stacked L-row
+    groups, matching the layout of kronecker(C1, C2) for L x d factors.
+    """
+    K = np.asarray(K)
+    if K.ndim != 2:
+        raise DimensionError("subblock expects a matrix")
+    L = math.isqrt(K.shape[0])
+    if L < 1 or L * L != K.shape[0]:
+        raise DimensionError(
+            f"cannot infer block size: row count {K.shape[0]} is not a "
+            "positive square"
+        )
+    if not 0 <= j < L:
+        raise IndexError(f"block index {j} out of range for {L} blocks")
+    return K[j * L:(j + 1) * L, :]
+
+
+def transpose_perm(m, n):
+    """Index array perm with vec(W.T) == vec(W)[perm] for W of shape (m, n).
+
+    Output position i = p*m + k (row p, column k of the transpose, 0-indexed)
+    pulls from source position k*n + p.
+    """
+    if m < 1 or n < 1:
+        raise DimensionError("transpose_perm needs positive dimensions")
+    p, k = np.divmod(np.arange(m * n), m)
+    return k * n + p
 
 
 def fd_grad(fn, X):

@@ -22,7 +22,6 @@ from lora_kernels.attention import (
     loss,
     q_from_c,
     residual_c,
-    score_q,
     scores,
     softmax_rows,
 )
@@ -258,7 +257,7 @@ class TestLossAndIntermediates:
         W = rng.standard_normal((2, 2))
         Y = forward_f(inst0, W) @ inst0.C3
         inst = AttentionInstance(C1=inst0.C1, C2=inst0.C2, C3=inst0.C3, Y=Y)
-        assert np.abs(score_q(inst, W)).max() <= 1e-14
+        assert np.abs(q_from_c(residual_c(inst, W), inst)).max() <= 1e-14
 
     def test_zero_c3_residual_and_q(self, rng):
         inst0 = random_instance(rng, 4, 2)
@@ -267,13 +266,14 @@ class TestLossAndIntermediates:
         )
         W = rng.standard_normal((2, 2))
         assert np.abs(residual_c(inst, W) + inst0.Y).max() <= 1e-14
-        assert np.abs(score_q(inst, W)).max() == 0.0
+        assert np.abs(q_from_c(residual_c(inst, W), inst)).max() == 0.0
 
     def test_q_matches_brute_force(self, rng):
         inst = random_instance(rng, 4, 2)
         W = rng.standard_normal((2, 2))
         c = forward_f(inst, W) @ inst.C3 - inst.Y
-        assert np.abs(score_q(inst, W) - inst.C3 @ c.T).max() <= 1e-14
+        q = q_from_c(residual_c(inst, W), inst)
+        assert np.abs(q - inst.C3 @ c.T).max() <= 1e-14
 
     def test_q_is_column_major(self, rng):
         # Column j of q is contiguous, which keeps split_p's pass against f.T

@@ -154,6 +154,16 @@ class TestTables:
         ) == 0
         assert capsys.readouterr().out.startswith("L,path,wall_ns,ops,slope")
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_bench_non_positive_repeats_is_one_error_line(self, capsys, repeats):
+        assert run(
+            "bench", "--seed", "1", "--L", "32", "--d", "2", "--r", "1",
+            "--repeats", repeats,
+        ) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "repeats" in err[0]
+
     def test_sweep_csv_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep", "--seed", "2", "--gammas", "0.25,1.0", "--L", "16",

@@ -34,8 +34,10 @@ from lora_kernels.oracle import (
     fd_grad_general,
     fd_grad_W,
     jacobian_blocks,
+    kronecker,
+    subblock,
+    vectorize,
 )
-from lora_kernels.tensorops import kronecker, subblock, vectorize
 
 
 def rel_err(got, want):

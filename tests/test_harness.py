@@ -166,6 +166,16 @@ class TestReduction:
         assert abs(np.abs(a.A2).max() - 1.0) <= 1e-12
         assert np.all(a.E == 0.0)
 
+    @pytest.mark.parametrize("L, r_red", [(0, 2), (8, 0)])
+    def test_gen_rejects_empty_sizes(self, L, r_red):
+        with pytest.raises(DimensionError):
+            gen_reduction(4, L, r_red, 1.0)
+
+    @pytest.mark.parametrize("b_bound", [0.0, -1.0, math.inf, math.nan])
+    def test_gen_rejects_non_positive_or_non_finite_bound(self, b_bound):
+        with pytest.raises(ValueError, match="b_bound"):
+            gen_reduction(4, 8, 2, b_bound)
+
     def test_invariant_violation_rejected(self):
         ri = gen_reduction(4, 8, 2, 1.0)
         with pytest.raises(NormBoundError):

@@ -17,8 +17,8 @@ from lora_kernels.attention import (
     compose_general_constants,
     compose_special_constants,
     forward_f,
+    q_from_c,
     residual_c,
-    score_q,
     softmax_dots,
 )
 from lora_kernels.errors import (
@@ -67,6 +67,19 @@ class TestConfigAndDegree:
                 PolyApproxConfig(gamma=bad, degree=degree, eps_target=1e-3)
             with pytest.raises(ValueError, match="finite"):
                 PolyApproxConfig(gamma=0.5, degree=degree, eps_target=bad)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, math.nan, math.inf, "3"])
+    def test_config_rejects_non_integer_degree(self, bad):
+        # 2.5 and NaN pass a plain < 0 check and only fail later, untyped,
+        # inside math.comb.
+        with pytest.raises(ValueError, match="degree"):
+            PolyApproxConfig(gamma=0.5, degree=bad, eps_target=1e-3)
+
+    def test_config_accepts_numpy_integer_degree(self):
+        cfg = PolyApproxConfig(gamma=0.5, degree=np.int64(3), eps_target=1e-3)
+        inst, adp, Wstar = gen_instance(0, 8, 2, 1, 0.5)
+        f_lr = approx_f_poly(inst, adapted_weight(Wstar, adp), cfg)
+        assert f_lr.k == monomial_count(2, 3)
 
     def test_monomial_counts(self):
         assert monomial_count(2, 2) == 6
@@ -317,7 +330,8 @@ class TestFactoredChain:
         inst, adp, Wstar = gen_instance(13, 10, 3, 1, 1.0)
         W = adapted_weight(Wstar, adp)
         q_lr = approx_q(self.exact_factor(inst, W), inst)
-        assert np.abs(q_lr.dense() - score_q(inst, W)).max() <= 1e-10
+        q = q_from_c(residual_c(inst, W), inst)
+        assert np.abs(q_lr.dense() - q).max() <= 1e-10
 
     def test_q_error_bound(self):
         inst, adp, Wstar = gen_instance(13, 12, 3, 2, 1.0)
@@ -325,7 +339,7 @@ class TestFactoredChain:
         f_lr = approx_f_svd(inst, W, 4)
         q_lr = approx_q(f_lr, inst)
         c_err = np.abs(q_lr.V - residual_c(inst, W)).max()
-        lhs = np.abs(q_lr.dense() - score_q(inst, W)).max()
+        lhs = np.abs(q_lr.dense() - q_from_c(residual_c(inst, W), inst)).max()
         assert lhs <= inst.d * np.abs(inst.C3).max() * c_err
 
     def test_p_factors_match_dense_split(self):
