@@ -153,7 +153,7 @@ def _score_matrix(left, right):
     The range check reads S.max() and S.min(), so it builds no |S| array.
     """
     check_dense_guard(left.shape[0])
-    S = left @ right.T
+    S = instrument.matmul(left, right.T)
     max_abs = max(float(S.max()), -float(S.min())) if S.size else 0.0
     if max_abs > SCORE_LIMIT:
         raise ScoreOverflowError(max_abs, SCORE_LIMIT)
@@ -166,9 +166,7 @@ def scores(inst, W):
     d = inst.d
     if W.shape != (d, d):
         raise DimensionError(f"W must be {d} x {d}, got {W.shape}")
-    S = _score_matrix(inst.C1 @ W, inst.C2)
-    instrument.count_matmul(inst.L, d, d)
-    instrument.count_matmul(inst.L, d, inst.L)
+    S = _score_matrix(instrument.matmul(inst.C1, W), inst.C2)
     instrument.alloc(S.size)
     return S
 
@@ -196,15 +194,12 @@ def forward_f(inst, W):
 def forward_output(inst, W):
     """Attention output f(W) @ C3, shape L x d."""
     f = forward_f(inst, W)
-    out = f @ inst.C3
-    instrument.count_matmul(inst.L, inst.L, inst.d)
-    return out
+    return instrument.matmul(f, inst.C3)
 
 
 def residual_from_f(f, inst):
     """c = f @ C3 - Y for an already computed attention matrix."""
-    c = f @ inst.C3 - inst.Y
-    instrument.count_matmul(inst.L, inst.L, inst.d)
+    c = instrument.matmul(f, inst.C3) - inst.Y
     instrument.count(c.size)
     return c
 
@@ -212,8 +207,7 @@ def residual_from_f(f, inst):
 def q_from_c(c, inst):
     """q = C3 @ c.T for an already computed residual, stored column-major."""
     check_dense_guard(inst.L)
-    q = (c @ inst.C3.T).T
-    instrument.count_matmul(inst.L, inst.d, inst.L)
+    q = instrument.matmul(c, inst.C3.T).T
     instrument.alloc(q.size)
     return q
 
@@ -301,11 +295,11 @@ def compose_special_constants(g, alpha, r, adapter_v=None):
 
 
 def adapted_general_weights(g, adpQ, adpK):
-    """Effective (WQ, WK): the query side folds alpha/r, the key side does not."""
+    """Effective (WQ, WK) = (WQstar, WKstar) plus each adapter's scaled update."""
     if adpQ.d != g.d or adpK.d != g.d:
         raise DimensionError("adapter dimension does not match the instance")
     WQ = g.WQstar + adpQ.scale * adpQ.delta()
-    WK = g.WKstar + adpK.delta()
+    WK = g.WKstar + adpK.scale * adpK.delta()
     return WQ, WK
 
 
@@ -319,15 +313,10 @@ def compose_general_constants(g, adpQ, adpK):
     changes: each side bakes in the other side's current weight.
     """
     WQ, WK = adapted_general_weights(g, adpQ, adpK)
-    d = g.d
-    instrument.count_matmul(g.L, d, d)
-    instrument.count_matmul(g.L, d, d)
-    instrument.count_matmul(g.L, d, d)
-    C3 = g.XV @ g.WVstar
-    return (
-        (AttentionInstance(C1=g.XQ, C2=g.XK @ WK, C3=C3, Y=g.Y), WQ),
-        (AttentionInstance(C1=g.XQ @ WQ, C2=g.XK, C3=C3, Y=g.Y), WK.T),
-    )
+    C3 = instrument.matmul(g.XV, g.WVstar)
+    side_q = AttentionInstance(C1=g.XQ, C2=instrument.matmul(g.XK, WK), C3=C3, Y=g.Y)
+    side_k = AttentionInstance(C1=instrument.matmul(g.XQ, WQ), C2=g.XK, C3=C3, Y=g.Y)
+    return (side_q, WQ), (side_k, WK.T)
 
 
 def general_scores(g, adpQ, adpK):

@@ -51,9 +51,9 @@ class GradientPair:
 
 def project(adp, M):
     """Adapter gradients (B.T @ M, M @ A.T) from the weight gradient M."""
-    instrument.count_matmul(adp.r, adp.d, adp.d)
-    instrument.count_matmul(adp.d, adp.d, adp.r)
-    return GradientPair(GA=adp.B.T @ M, GB=M @ adp.A.T)
+    return GradientPair(
+        GA=instrument.matmul(adp.B.T, M), GB=instrument.matmul(M, adp.A.T)
+    )
 
 
 def split_p(f, q, r, out=None):
@@ -97,12 +97,7 @@ def grad_wrt_W(inst, W):
 
 def _sandwich(C1, g_rows, C2):
     """C1.T @ g_rows @ C2 staged as (C1.T @ g_rows) @ C2."""
-    L, d = C1.shape
-    left = C1.T @ g_rows
-    out = left @ C2
-    instrument.count_matmul(d, L, L)
-    instrument.count_matmul(d, L, d)
-    return out
+    return instrument.matmul(instrument.matmul(C1.T, g_rows), C2)
 
 
 def grad_adapters_special(inst, Wstar, adp):
@@ -116,12 +111,12 @@ def grad_adapters_general(g, adpQ, adpK):
     """Exact gradient pairs (Q-side, K-side) of the two-sided problem.
 
     p is computed once on the query side and sandwiched between each side's
-    constants. The query weight gradient carries the adapter scale alpha/r;
-    the key side's is transposed back from dL/d(WK.T).
+    constants. Each weight gradient carries its adapter's scale alpha/r; the
+    key side's is transposed back from dL/d(WK.T).
     """
     (inst_q, WQ), (inst_k, _) = compose_general_constants(g, adpQ, adpK)
     g_rows = compute_p(inst_q, WQ).T
     NQ = _sandwich(inst_q.C1, g_rows, inst_q.C2)
     NK = _sandwich(inst_k.C1, g_rows, inst_k.C2)
-    return project(adpQ, adpQ.scale * NQ), project(adpK, NK.T)
+    return project(adpQ, adpQ.scale * NQ), project(adpK, adpK.scale * NK.T)
 

@@ -25,6 +25,7 @@ from .errors import (
     ApproxBreakdownError,
     DimensionError,
     SizeGuardError,
+    as_matrix,
     check_norm_bound,
     check_positive_finite,
 )
@@ -121,12 +122,17 @@ class ReductionInstance:
     b_bound: float
 
     def __post_init__(self):
+        for name in ("A1", "A2", "A3", "E", "X"):
+            object.__setattr__(self, name, as_matrix(getattr(self, name), name))
         L, r = self.A1.shape
+        if L < 1 or r < 1:
+            raise DimensionError(f"invalid sizes L={L}, r_red={r}")
         for name in ("A2", "A3", "E"):
             if getattr(self, name).shape != (L, r):
                 raise DimensionError(f"{name} must be {(L, r)}")
         if self.X.shape != (r, r):
             raise DimensionError(f"X must be {(r, r)}")
+        check_positive_finite("b_bound", self.b_bound)
         check_norm_bound("A1 @ X", self.A1 @ self.X, self.b_bound)
         check_norm_bound("A2", self.A2, self.b_bound)
 
@@ -204,11 +210,14 @@ def bench_scaling(L_list, d, r, cfg, repeats=3, seed=0):
 
     Per L and path: the instrumented multiply-add count (identical across
     repeats) and the median wall time. The log-log slope of ops against L
-    is fitted per path and repeated in every row of that path. Sizes the
-    dense guard refuses are recorded in result.skipped for the exact path.
+    is fitted per path and repeated in every row of that path; it is NaN for
+    a path whose points cover fewer than two distinct sizes. Sizes the dense
+    guard refuses are recorded in result.skipped for the exact path.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if len(set(L_list)) < 2:
+        raise ValueError(f"need at least two distinct sizes L, got {list(L_list)}")
     streams = np.random.SeedSequence(seed).spawn(len(L_list))
     per_path = {"exact": [], "approx": []}
     skipped = []
@@ -237,7 +246,7 @@ def bench_scaling(L_list, d, r, cfg, repeats=3, seed=0):
     slopes = {}
     for path in ("exact", "approx"):
         pts = per_path[path]
-        if len(pts) >= 2:
+        if len({p[0] for p in pts}) >= 2:
             slopes[path] = loglog_slope([p[0] for p in pts], [p[2] for p in pts])
         else:
             slopes[path] = float("nan")

@@ -1,10 +1,12 @@
 """Arithmetic instrumentation: multiply-add tallies, allocation highwater, slopes.
 
-The multiply-add counts are analytic (each kernel reports the closed-form cost
-of the operation it just performed), so they are exact, deterministic, and
-independent of wall-clock noise. Allocation tracking records the element count
-of every array a kernel registers, which is how the tests prove the factored
-gradient path never materializes an L x L intermediate.
+The multiply-add counts are analytic, so they are exact, deterministic, and
+independent of wall-clock noise. A matrix product is charged from its own
+operands (matmul), so its count cannot drift from the code it counts;
+elementwise work is charged by the kernel that does it (count). Allocation
+tracking records the element count of every array a kernel registers, which
+is how the tests prove the factored gradient path never materializes an
+L x L intermediate.
 """
 
 import numpy as np
@@ -42,9 +44,14 @@ def count(n):
         tally.madds += n
 
 
-def count_matmul(m, k, n):
-    """Charge the cost of an (m x k) @ (k x n) product."""
-    count(m * k * n)
+def matmul(a, b):
+    """a @ b, charging rows(a) * cols(a) * cols(b) multiply-adds.
+
+    A vector b counts as one column.
+    """
+    out = a @ b
+    count(a.size * (b.shape[1] if b.ndim == 2 else 1))
+    return out
 
 
 def alloc(n_elements):

@@ -24,8 +24,9 @@ A[:, s] * B[:, t] elementwise. It satisfies the identity
   factors, and its sandwich C1.T @ p1.T @ C2 is contracted from them
   directly: two L-deep products of size (d * d) x k1 and one d x d
   contraction. Only dense(), which is test support, builds the halves.
-* p2 = f.T scaled per column by r_j: a LowRankFactor of rank k1 whose
-  halves are V1 and U1 with rows scaled by r.
+* p2 = f.T scaled per column by r_j is p1's form with 1 @ r.T in place of
+  q: (V1 @ U1.T) * (1 @ r.T) = (V1 ck 1) @ (U1 ck r).T, a KhatriRaoFactor
+  of rank k1 contracted by the same sandwich.
 
 Two interchangeable sources for the f factor:
 
@@ -71,7 +72,7 @@ _DEGREE_CEILING = 10_000
 
 @dataclass(frozen=True)
 class LowRankFactor:
-    """An L x L matrix held as U @ V.T with U, V of shape L x k.
+    """An L x L matrix held as U @ V.T with U, V of shape L x k: f and q.
 
     Production configurations keep k well below L; full-rank SVD factors
     and hand-built test factors may reach or exceed L and are allowed.
@@ -99,15 +100,6 @@ class LowRankFactor:
         """Materialize U @ V.T. Test support; guarded like the exact path."""
         check_dense_guard(self.L)
         return self.U @ self.V.T
-
-    def sandwich(self, C1, C2):
-        """C1.T @ M.T @ C2 for M = U @ V.T, as (C1.T @ V) @ (U.T @ C2)."""
-        left = C1.T @ self.V
-        right = self.U.T @ C2
-        instrument.count_matmul(C1.shape[1], self.L, self.k)
-        instrument.count_matmul(self.k, self.L, C2.shape[1])
-        instrument.count_matmul(C1.shape[1], self.k, C2.shape[1])
-        return left @ right
 
 
 def colwise_kronecker(A, B):
@@ -175,14 +167,11 @@ class KhatriRaoFactor:
         the rows of (C2 ck B).T @ A. Both are L-deep products of size
         (d * kB) x kA; the d x d contraction over (t, s) finishes it.
         """
-        kA = self.A.shape[1]
-        X = colwise_kronecker(C1, self.D).T @ self.C
-        Z = colwise_kronecker(C2, self.B).T @ self.A
-        instrument.count_matmul(X.shape[0], self.L, kA)
-        instrument.count_matmul(Z.shape[0], self.L, kA)
-        out = X.reshape(C1.shape[1], -1) @ Z.reshape(C2.shape[1], -1).T
-        instrument.count_matmul(C1.shape[1], self.k, C2.shape[1])
-        return out
+        X = instrument.matmul(colwise_kronecker(C1, self.D).T, self.C)
+        Z = instrument.matmul(colwise_kronecker(C2, self.B).T, self.A)
+        return instrument.matmul(
+            X.reshape(C1.shape[1], -1), Z.reshape(C2.shape[1], -1).T
+        )
 
 
 @dataclass(frozen=True)
@@ -292,8 +281,7 @@ def approx_f_poly(inst, W, cfg, max_rank=None):
     d = inst.d
     if W.shape != (d, d):
         raise DimensionError(f"W must be {d} x {d}, got {W.shape}")
-    CW = inst.C1 @ W
-    instrument.count_matmul(inst.L, d, d)
+    CW = instrument.matmul(inst.C1, W)
     check_norm_bound("C1 @ W", CW, cfg.gamma)
     check_norm_bound("C2", inst.C2, cfg.gamma)
     g = cfg.degree if cfg.degree is not None else select_degree(cfg, d)
@@ -303,8 +291,7 @@ def approx_f_poly(inst, W, cfg, max_rank=None):
     Phi1 = feature_map(CW, g)
     Phi2 = feature_map(inst.C2, g)
     col_mass = Phi2.sum(axis=0)
-    norm = Phi1 @ col_mass
-    instrument.count_matmul(inst.L, k1, 1)
+    norm = instrument.matmul(Phi1, col_mass)
     if norm.min() <= 0.0:
         raise ApproxBreakdownError(
             "truncated polynomial produced a non-positive softmax normalizer "
@@ -327,11 +314,9 @@ def approx_q(f_lr, inst):
     """
     if f_lr.L != inst.L:
         raise DimensionError("factor and instance disagree on L")
-    M = f_lr.V.T @ inst.C3
-    instrument.count_matmul(f_lr.k, inst.L, inst.d)
+    M = instrument.matmul(f_lr.V.T, inst.C3)
     instrument.alloc(M.size)
-    c = f_lr.U @ M - inst.Y
-    instrument.count_matmul(inst.L, f_lr.k, inst.d)
+    c = instrument.matmul(f_lr.U, M) - inst.Y
     instrument.count(c.size)
     instrument.alloc(c.size)
     return LowRankFactor(U=inst.C3, V=c)
@@ -349,17 +334,13 @@ def approx_p1(f_lr, q_lr):
 
 
 def approx_p2(f_lr, r):
-    """Factor of p2 = f.T scaled per column by the row dots r_j = <f_j, q_j>.
+    """Implicit factor of p2 = f.T scaled per column by r_j = <f_j, q_j>.
 
-    r comes from softmax_dots on the residual. The factor keeps f's rank:
-    U4 = V1, V4 = U1 with row j scaled by r_j.
+    r comes from softmax_dots on the residual. p2 is p1 with 1 @ r.T in place
+    of q, so it is the KhatriRaoFactor (V1 ck 1) @ (U1 ck r).T of f's rank
+    k1, and no row-scaled copy of U1 is formed.
     """
-    if r.shape != (f_lr.L,):
-        raise DimensionError(f"r must have shape {(f_lr.L,)}, got {r.shape}")
-    V4 = f_lr.U * r[:, None]
-    instrument.count(V4.size)
-    instrument.alloc(V4.size)
-    return LowRankFactor(U=f_lr.V, V=V4)
+    return KhatriRaoFactor(A=f_lr.V, B=np.ones((f_lr.L, 1)), C=f_lr.U, D=r[:, None])
 
 
 def _grad_W(f_lr, inst):
@@ -393,8 +374,9 @@ def approx_grad_general(g, adpQ, adpK, cfg):
     """Almost-linear gradient pairs (Q-side, K-side) of the two-sided problem.
 
     Each side is the special case on its own constants; the key side's
-    weight gradient is transposed back to dL/dWK. The sides run one after
-    the other, so only one side's factors are alive at a time.
+    weight gradient is transposed back to dL/dWK, and each side's carries its
+    adapter's scale alpha/r. The sides run one after the other, so only one
+    side's factors are alive at a time.
     """
     grads = []
     for side, (inst, W) in zip("QK", compose_general_constants(g, adpQ, adpK)):
@@ -405,4 +387,4 @@ def approx_grad_general(g, adpQ, adpK, cfg):
         grads.append(_grad_W(f_lr, inst))
         del f_lr  # free this side's factor before the next side builds its own
     NQ, NK = grads
-    return project(adpQ, adpQ.scale * NQ), project(adpK, NK.T)
+    return project(adpQ, adpQ.scale * NQ), project(adpK, adpK.scale * NK.T)

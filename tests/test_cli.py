@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lora_kernels import harness
 from lora_kernels.cli import cli_main
 from lora_kernels.harness import gen_instance
 from lora_kernels.matio import load_matrix, save_bundle
@@ -163,6 +164,21 @@ class TestTables:
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("error:")
         assert "repeats" in err[0]
+
+    @pytest.mark.parametrize("sizes", ["8,8", "8", ""])
+    def test_bench_needs_two_distinct_sizes_before_any_work(
+        self, capsys, monkeypatch, sizes
+    ):
+        calls = []
+        monkeypatch.setattr(harness, "gen_instance", lambda *a: calls.append(a))
+        assert run(
+            "bench", "--seed", "1", "--L", sizes, "--d", "2", "--r", "1",
+            "--repeats", "1",
+        ) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "two distinct sizes" in err[0]
+        assert calls == []
 
     def test_sweep_csv_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

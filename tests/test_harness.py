@@ -8,7 +8,7 @@ import pytest
 
 from lora_kernels import instrument
 from lora_kernels.attention import adapted_weight, forward_output
-from lora_kernels.errors import DimensionError, NormBoundError
+from lora_kernels.errors import DimensionError, NonFiniteError, NormBoundError
 from lora_kernels.exact import grad_adapters_special
 from lora_kernels.harness import (
     BENCH_HEADER,
@@ -66,7 +66,7 @@ class TestSlopeFitting:
         costs = []
         for L in sizes:
             with instrument.recording() as tally:
-                instrument.count_matmul(L, L, 1)
+                instrument.count(L * L)
             costs.append(tally.madds)
         slope = instrument.loglog_slope(sizes, costs)
         assert abs(slope - 2.0) <= 0.01
@@ -117,6 +117,14 @@ class TestBenchScaling:
         assert (64, "exact") in result.skipped
         approx_Ls = [r[0] for r in result.rows if r[1] == "approx"]
         assert approx_Ls == [32, 64]
+
+    def test_one_distinct_size_per_path_gives_nan_slope(self, monkeypatch):
+        # The guard leaves the exact path two points at one size: no slope.
+        monkeypatch.setenv("LORA_KERNELS_GUARD_L", "48")
+        cfg = PolyApproxConfig(gamma=0.25, degree=None, eps_target=1e-3)
+        result = bench_scaling([32, 32, 64], 2, 1, cfg, repeats=1, seed=5)
+        assert math.isnan(result.slopes["exact"])
+        assert result.slopes["approx"] > 0.0
 
 
 class TestSweepGamma:
@@ -175,6 +183,26 @@ class TestReduction:
     def test_gen_rejects_non_positive_or_non_finite_bound(self, b_bound):
         with pytest.raises(ValueError, match="b_bound"):
             gen_reduction(4, 8, 2, b_bound)
+
+    def test_instance_validates_its_inputs(self):
+        ri = gen_reduction(4, 8, 2, 1.0)
+        parts = dict(A1=ri.A1, A2=ri.A2, A3=ri.A3, E=ri.E, X=ri.X, b_bound=1.0)
+        bad_A3 = ri.A3.copy()
+        bad_A3[0, 0] = math.nan
+        with pytest.raises(NonFiniteError, match="A3"):
+            ReductionInstance(**{**parts, "A3": bad_A3})
+        as_lists = ReductionInstance(**{**parts, "A1": ri.A1.tolist()})
+        assert np.array_equal(as_lists.A1, ri.A1)
+        for b_bound in (math.inf, -1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="b_bound"):
+                ReductionInstance(**{**parts, "b_bound": b_bound})
+        empty = dict(A1=np.zeros((0, 2)), A2=np.zeros((0, 2)), A3=np.zeros((0, 2)),
+                     E=np.zeros((0, 2)), X=ri.X, b_bound=1.0)
+        with pytest.raises(DimensionError):
+            ReductionInstance(**empty)
+        with pytest.raises(DimensionError):
+            ReductionInstance(**{k: np.zeros((8, 0)) for k in ("A1", "A2", "A3", "E")},
+                              X=np.zeros((0, 0)), b_bound=1.0)
 
     def test_invariant_violation_rejected(self):
         ri = gen_reduction(4, 8, 2, 1.0)

@@ -17,6 +17,7 @@ from lora_kernels.attention import (
     compose_general_constants,
     compose_special_constants,
     forward_f,
+    general_loss,
     q_from_c,
     residual_c,
     softmax_dots,
@@ -576,6 +577,28 @@ class TestApproxGeneral:
         pair_s = approx_grad_special(inst, g.WQstar, adpQ, cfg)
         assert np.abs(pair_q.GA - pair_s.GA).max() <= 1e-12
         assert np.abs(pair_q.GB - pair_s.GB).max() <= 1e-12
+
+    def test_each_side_scales_by_alpha_over_r(self):
+        # An adapter at alpha != r is the adapter with B scaled by alpha/r at
+        # alpha = r: same loss, same dL/dA, and dL/dB scaled by alpha/r, on
+        # the query and the key side and on both gradient paths.
+        g, adpQ, adpK = self.build(np.random.default_rng(5))
+        scaled = [
+            LoraAdapter(B=adp.B, A=adp.A, r=1, alpha=alpha)
+            for adp, alpha in ((adpQ, 0.5), (adpK, 3.0))
+        ]
+        unit = [
+            LoraAdapter(B=adp.scale * adp.B, A=adp.A, r=1, alpha=1.0)
+            for adp in scaled
+        ]
+        assert abs(general_loss(g, *scaled) - general_loss(g, *unit)) <= 1e-12
+        cfg = PolyApproxConfig(
+            gamma=1.01 * self.measured_gamma(g, *unit), degree=4, eps_target=1e-3
+        )
+        for grads in (grad_adapters_general, lambda *a: approx_grad_general(*a, cfg)):
+            for adp, got, want in zip(scaled, grads(g, *scaled), grads(g, *unit)):
+                assert np.abs(got.GA - want.GA).max() <= 1e-12
+                assert np.abs(got.GB - adp.scale * want.GB).max() <= 1e-12
 
     def test_peak_memory_is_one_side(self):
         # The sides run one after the other, so the two-sided call must not
