@@ -20,13 +20,20 @@ A[:, s] * B[:, t] elementwise. It satisfies the identity
 * r_j = <f_j, q_j> = <c_j + Y_j, c_j>, read off c in O(L d) (softmax_dots).
 * p1 = f.T * q = (V1 @ U1.T) * (C3 @ c.T) elementwise. By the
   columnwise-Kronecker identity this is (V1 ck C3) @ (U1 ck c).T, of rank
-  k1 * d. It is held implicitly as a KhatriRaoFactor of the four thin
-  factors, and its sandwich C1.T @ p1.T @ C2 is contracted from them
-  directly: two L-deep products of size (d * d) x k1 and one d x d
-  contraction. Only dense(), which is test support, builds the halves.
+  k1 * d, held implicitly as a KhatriRaoFactor of the four thin factors.
 * p2 = f.T scaled per column by r_j is p1's form with 1 @ r.T in place of
-  q: (V1 @ U1.T) * (1 @ r.T) = (V1 ck 1) @ (U1 ck r).T, a KhatriRaoFactor
-  of rank k1 contracted by the same sandwich.
+  q: (V1 @ U1.T) * (1 @ r.T) = (V1 ck 1) @ (U1 ck r).T, of rank k1.
+* p = p1 - p2 is one KhatriRaoFactor, since both terms share V1 and U1:
+  (V1 ck [C3 | 1]) @ (U1 ck [c | -r]).T, of rank k1 * (d + 1). Its
+  sandwich C1.T @ p.T @ C2 is contracted from the thin factors directly:
+  two L-deep products of size d (d + 1) x k1 and one d x d contraction,
+  so each of U1 and V1 is read once. Only dense(), which is test support,
+  builds the halves.
+
+Memory order: feature_map fills a k1 x L buffer and returns its transpose,
+so U1.T and V1.T are row-major. The normalizer divides Phi1 in place, and
+every L-deep product runs as (k x L) @ (L x m) on those transposes, so each
+feature buffer is read along its rows.
 
 Two interchangeable sources for the f factor:
 
@@ -158,6 +165,24 @@ class KhatriRaoFactor:
         check_dense_guard(self.L)
         return colwise_kronecker(self.A, self.B) @ colwise_kronecker(self.C, self.D).T
 
+    def __sub__(self, other):
+        """self - other as one factor, for two factors that share A and C.
+
+        (A ck B) @ (C ck D).T - (A ck B') @ (C ck D').T is
+        (A ck [B | B']) @ (C ck [D | -D']).T, of rank kA * (kB + kB'), so
+        one sandwich contracts both terms and reads A and C once.
+        """
+        if other.A is not self.A or other.C is not self.C:
+            raise DimensionError(
+                "Khatri-Rao factors subtract only when they share A and C"
+            )
+        return KhatriRaoFactor(
+            A=self.A,
+            B=np.hstack([self.B, other.B]),
+            C=self.C,
+            D=np.hstack([self.D, -other.D]),
+        )
+
     def sandwich(self, C1, C2):
         """C1.T @ M.T @ C2 without forming either L x k half.
 
@@ -166,9 +191,12 @@ class KhatriRaoFactor:
         (C1 ck D).T @ C, and Z[b, t, s] = sum_l C2[l, b] B[l, t] A[l, s],
         the rows of (C2 ck B).T @ A. Both are L-deep products of size
         (d * kB) x kA; the d x d contraction over (t, s) finishes it.
+        The L-deep products run as C.T @ (C1 ck D) and A.T @ (C2 ck B):
+        the feature maps' transposes are row-major, so both operands are
+        read in memory order.
         """
-        X = instrument.matmul(colwise_kronecker(C1, self.D).T, self.C)
-        Z = instrument.matmul(colwise_kronecker(C2, self.B).T, self.A)
+        X = instrument.matmul(self.C.T, colwise_kronecker(C1, self.D)).T
+        Z = instrument.matmul(self.A.T, colwise_kronecker(C2, self.B)).T
         return instrument.matmul(
             X.reshape(C1.shape[1], -1), Z.reshape(C2.shape[1], -1).T
         )
@@ -271,7 +299,10 @@ def approx_f_poly(inst, W, cfg, max_rank=None):
 
     U1 is the row-normalized feature map of C1 @ W, V1 the feature map of
     C2; U1 @ V1.T approximates f entrywise within eps_target whenever the
-    norm preconditions hold. Never touches an L x L array.
+    norm preconditions hold. Never touches an L x L array. The rows of
+    C1 @ W's feature map are divided by their normalizers in place, so the
+    factor's two halves are the only L x k1 buffers; both are transposes
+    of row-major k1 x L buffers.
 
     With max_rank given, a degree, adaptive or pinned, whose monomial count
     k1 = C(d+g, g) exceeds it raises RankInfeasibleError; that error is the
@@ -299,10 +330,9 @@ def approx_f_poly(inst, W, cfg, max_rank=None):
             "large for degree "
             f"{g}"
         )
-    U1 = Phi1 / norm[:, None]
+    Phi1 /= norm[:, None]
     instrument.count(Phi1.size)
-    instrument.alloc(U1.size)
-    return LowRankFactor(U=U1, V=Phi2)
+    return LowRankFactor(U=Phi1, V=Phi2)
 
 
 def approx_q(f_lr, inst):
@@ -316,7 +346,8 @@ def approx_q(f_lr, inst):
         raise DimensionError("factor and instance disagree on L")
     M = instrument.matmul(f_lr.V.T, inst.C3)
     instrument.alloc(M.size)
-    c = instrument.matmul(f_lr.U, M) - inst.Y
+    c = instrument.matmul(M.T, f_lr.U.T).T
+    c -= inst.Y
     instrument.count(c.size)
     instrument.alloc(c.size)
     return LowRankFactor(U=inst.C3, V=c)
@@ -346,15 +377,16 @@ def approx_p2(f_lr, r):
 def _grad_W(f_lr, inst):
     """dL/dW of one special-case problem from its f factor.
 
-    Runs q -> p1, p2 and returns dL/dW = C1.T (p1 - p2).T C2 as the
-    difference of the two factors' sandwiches, so no L x L array and no
-    L x k1 * d half of p1 is formed. p2's row dots are read off q's
-    residual half. The factors are freed on return.
+    Runs q -> p1, p2, subtracts the two factors into the one factor of
+    p = p1 - p2 and returns its sandwich dL/dW = C1.T p.T C2, so no L x L
+    array and no L x k1 * d half is formed, and U1 and V1 are each read
+    once. p2's row dots are read off q's residual half. The factors are
+    freed on return.
     """
     q_lr = approx_q(f_lr, inst)
-    p1_term = approx_p1(f_lr, q_lr).sandwich(inst.C1, inst.C2)
     r = softmax_dots(q_lr.V, inst.Y)
-    return p1_term - approx_p2(f_lr, r).sandwich(inst.C1, inst.C2)
+    p = approx_p1(f_lr, q_lr) - approx_p2(f_lr, r)
+    return p.sandwich(inst.C1, inst.C2)
 
 
 def grad_from_f_factor(f_lr, inst, adp):

@@ -248,6 +248,23 @@ class TestPolyBackend:
         with pytest.raises(ApproxBreakdownError):
             approx_f_poly(inst, 2.0 * np.eye(2), cfg)
 
+    def test_holds_two_feature_buffers(self):
+        # U1 is Phi1 normalized in place, so the factor's two halves are the
+        # only L x k1 buffers alive; their transposes are row-major, the
+        # layout the L-deep products read in memory order.
+        L, d, g = 2048, 4, 3
+        inst, adp, Wstar = gen_instance(0, L, d, 2, 0.25)
+        W = adapted_weight(Wstar, adp)
+        cfg = PolyApproxConfig(gamma=0.25, degree=g, eps_target=1e-3)
+        tracemalloc.start()
+        try:
+            f_lr = approx_f_poly(inst, W, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * L * monomial_count(d, g) * 8
+        assert f_lr.U.T.flags.c_contiguous and f_lr.V.T.flags.c_contiguous
+
     def test_explicit_rank_ceiling(self):
         inst, adp, Wstar = gen_instance(2, 8, 3, 1, 0.5)
         W = adapted_weight(Wstar, adp)
@@ -383,6 +400,34 @@ class TestFactoredChain:
                 want = inst.C1.T @ lr.dense().T @ inst.C2
                 got = lr.sandwich(inst.C1, inst.C2)
                 assert np.abs(got - want).max() <= 1e-12
+
+    def test_fused_p_matches_dense_split(self):
+        # p1 - p2 is one factor (V1 ck [C3 | 1]) @ (U1 ck [c | -r]).T of
+        # rank k1 * (d + 1), for the SVD and the poly chain; both f factors
+        # are exact to well below the tolerance here.
+        inst, adp, Wstar = gen_instance(31, 24, 3, 2, 0.5)
+        W = adapted_weight(Wstar, adp)
+        pm = dense_p_oracle(inst, W)
+        cfg = PolyApproxConfig(gamma=0.5, degree=12, eps_target=1e-3)
+        for f_lr in (approx_f_svd(inst, W, inst.L), approx_f_poly(inst, W, cfg)):
+            q_lr = approx_q(f_lr, inst)
+            p1_lr = approx_p1(f_lr, q_lr)
+            p2_lr = approx_p2(f_lr, softmax_dots(q_lr.V, inst.Y))
+            p_lr = p1_lr - p2_lr
+            assert p_lr.k == f_lr.k * (inst.d + 1)
+            assert np.abs(p_lr.dense() - (pm.p1 - pm.p2)).max() <= 1e-10
+            want = p1_lr.sandwich(inst.C1, inst.C2) - p2_lr.sandwich(inst.C1, inst.C2)
+            got = p_lr.sandwich(inst.C1, inst.C2)
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_fused_p_needs_one_f_factor(self):
+        inst, adp, Wstar = gen_instance(17, 8, 2, 1, 1.0)
+        W = adapted_weight(Wstar, adp)
+        f_a, f_b = approx_f_svd(inst, W, 3), approx_f_svd(inst, W, 3)
+        q_lr = approx_q(f_a, inst)
+        r = softmax_dots(q_lr.V, inst.Y)
+        with pytest.raises(DimensionError):
+            approx_p1(f_a, q_lr) - approx_p2(f_b, r)
 
     def test_p1_rank_law(self):
         a = LowRankFactor(U=np.ones((4, 5)), V=np.ones((4, 5)))
