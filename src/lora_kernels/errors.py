@@ -47,7 +47,7 @@ class NormBoundError(LoraKernelsError, ValueError):
 
 
 class ApproxBreakdownError(LoraKernelsError, ArithmeticError):
-    """The polynomial softmax surrogate produced a non-positive normalizer."""
+    """The polynomial softmax surrogate gave a non-positive or non-finite normalizer."""
 
 
 class RankInfeasibleError(LoraKernelsError, ValueError):
@@ -56,16 +56,25 @@ class RankInfeasibleError(LoraKernelsError, ValueError):
     This is the phase-transition mechanism: past a norm threshold the feature
     rank C(d+g, g) required for the target accuracy exceeds the sequence
     length, so the factored path stops being cheaper than the dense one.
+    With limit None, degree is the degree search's ceiling and no degree up
+    to it meets the error target.
     """
 
     def __init__(self, degree, rank, limit):
         self.degree = degree
         self.rank = rank
         self.limit = limit
-        super().__init__(
-            f"required polynomial degree {degree} needs rank C(d+g, g) = {rank}, "
-            f"which exceeds the limit {limit}"
-        )
+        if limit is None:
+            msg = (
+                f"no polynomial degree up to the search ceiling {degree} "
+                f"(rank C(d+g, g) = {rank}) meets the error target"
+            )
+        else:
+            msg = (
+                f"required polynomial degree {degree} needs rank C(d+g, g) = "
+                f"{rank}, which exceeds the limit {limit}"
+            )
+        super().__init__(msg)
 
 
 def as_matrix(a, name="matrix"):

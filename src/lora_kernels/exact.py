@@ -21,7 +21,7 @@ column-major, like f.T, so each L x L pass reads and writes in memory order.
 
 The general problem is two copies of the special case that share one score
 matrix (compose_general_constants). One p therefore serves both sides, and
-only the sandwich constants differ.
+so does one sandwich: both weight gradients are read off G = XQ.T @ p.T @ XK.
 """
 
 from dataclasses import dataclass
@@ -110,13 +110,14 @@ def grad_adapters_special(inst, Wstar, adp):
 def grad_adapters_general(g, adpQ, adpK):
     """Exact gradient pairs (Q-side, K-side) of the two-sided problem.
 
-    p is computed once on the query side and sandwiched between each side's
-    constants. Each weight gradient carries its adapter's scale alpha/r; the
-    key side's is transposed back from dL/d(WK.T).
+    p is computed once on the query side and contracted once, into
+    G = XQ.T @ p.T @ XK. The scores are XQ @ WQ @ WK.T @ XK.T, so
+    dL/dWQ = G @ WK and dL/dWK = G.T @ WQ, two d x d products. Each weight
+    gradient carries its adapter's scale alpha/r.
     """
-    (inst_q, WQ), (inst_k, _) = compose_general_constants(g, adpQ, adpK)
-    g_rows = compute_p(inst_q, WQ).T
-    NQ = _sandwich(inst_q.C1, g_rows, inst_q.C2)
-    NK = _sandwich(inst_k.C1, g_rows, inst_k.C2)
-    return project(adpQ, adpQ.scale * NQ), project(adpK, adpK.scale * NK.T)
+    (inst_q, WQ), (_, WKT) = compose_general_constants(g, adpQ, adpK)
+    G = _sandwich(g.XQ, compute_p(inst_q, WQ).T, g.XK)
+    NQ = instrument.matmul(G, WKT.T)
+    NK = instrument.matmul(G.T, WQ)
+    return project(adpQ, adpQ.scale * NQ), project(adpK, adpK.scale * NK)
 

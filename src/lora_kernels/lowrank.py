@@ -72,8 +72,9 @@ from .errors import (
 )
 from .exact import project
 
-# Hard ceiling on the degree search: the remainder rule always terminates,
-# this only turns a logic bug into a loud failure.
+# Ceiling on the degree search. Large score bounds do reach it (d = 4,
+# gamma = 40 needs a higher degree), and a degree this high has a feature
+# rank no machine holds, so the search refuses past it.
 _DEGREE_CEILING = 10_000
 
 
@@ -236,7 +237,9 @@ def select_degree(cfg, d):
     on [-R, R] is at most R^(g+1) e^R / (g+1)!. Requiring that to be below
     eps_target * e^(-R) makes the error small relative to the smallest
     attainable exp value, so it survives the softmax normalization. The
-    comparison runs in log space to dodge overflow at large R.
+    comparison runs in log space to dodge overflow at large R. When no
+    degree up to _DEGREE_CEILING qualifies, RankInfeasibleError names the
+    ceiling and its monomial count, before any feature map is built.
     """
     R = d * cfg.gamma * cfg.gamma
     log_eps = math.log(cfg.eps_target)
@@ -248,7 +251,9 @@ def select_degree(cfg, d):
             ok = log_rem <= log_eps
         if ok:
             return g
-    raise RuntimeError(f"degree search did not terminate below {_DEGREE_CEILING}")
+    raise RankInfeasibleError(
+        _DEGREE_CEILING, monomial_count(d, _DEGREE_CEILING), limit=None
+    )
 
 
 def feature_map(X, g):
@@ -323,12 +328,14 @@ def approx_f_poly(inst, W, cfg, max_rank=None):
     Phi2 = feature_map(inst.C2, g)
     col_mass = Phi2.sum(axis=0)
     norm = instrument.matmul(Phi1, col_mass)
-    if norm.min() <= 0.0:
+    # NaN fails every comparison, and an overflowed feature map gives +inf
+    # or NaN, so both ends are checked: a plain min <= 0 lets either through.
+    lo, hi = norm.min(), norm.max()
+    if not 0.0 < lo <= hi < math.inf:
         raise ApproxBreakdownError(
-            "truncated polynomial produced a non-positive softmax normalizer "
-            f"(min {norm.min():.3e}); the norm bound gamma={cfg.gamma} is too "
-            "large for degree "
-            f"{g}"
+            "truncated polynomial produced a non-positive or non-finite softmax "
+            f"normalizer (range [{lo:.3e}, {hi:.3e}]); the norm bound "
+            f"gamma={cfg.gamma} is too large for degree {g}"
         )
     Phi1 /= norm[:, None]
     instrument.count(Phi1.size)

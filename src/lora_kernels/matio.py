@@ -7,13 +7,15 @@ which round-trips float64 exactly.
 An instance bundle is a directory holding C1.mat, C2.mat, C3.mat, Y.mat and
 meta.txt (one line: "L d seed gamma"). Generated bundles also carry
 Wstar.mat, B.mat and A.mat so gradient commands can run from the directory
-alone.
+alone. The format has no field for the adapter scale: a loaded adapter has
+alpha = r, so only such adapters are saved.
 """
 
 import os
 
 import numpy as np
 
+from .attention import AttentionInstance, LoraAdapter
 from .errors import DimensionError
 
 
@@ -47,7 +49,16 @@ def load_matrix(path):
 
 
 def save_bundle(dirpath, inst, seed, gamma, Wstar=None, adapter=None):
-    """Write an instance (and optionally its adapter) as a bundle directory."""
+    """Write an instance (and optionally its adapter) as a bundle directory.
+
+    Raises ValueError, before writing anything, for an adapter whose alpha
+    is not r: the bundle would load back as a different model.
+    """
+    if adapter is not None and adapter.alpha != adapter.r:
+        raise ValueError(
+            f"bundles store adapters with alpha = r only, got alpha="
+            f"{adapter.alpha} for r={adapter.r}"
+        )
     os.makedirs(dirpath, exist_ok=True)
     save_matrix(os.path.join(dirpath, "C1.mat"), inst.C1)
     save_matrix(os.path.join(dirpath, "C2.mat"), inst.C2)
@@ -76,8 +87,6 @@ def load_bundle(dirpath):
 
     Wstar and adapter are None when the optional files are absent.
     """
-    from .attention import AttentionInstance, LoraAdapter
-
     inst = AttentionInstance(
         C1=load_matrix(os.path.join(dirpath, "C1.mat")),
         C2=load_matrix(os.path.join(dirpath, "C2.mat")),

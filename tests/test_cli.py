@@ -108,6 +108,17 @@ class TestApprox:
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_degree_past_search_ceiling_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "d4"
+        run("gen", "--seed", "2", "--L", "8", "--d", "4", "--r", "1",
+            "--gamma", "0.5", "--out", str(out))
+        assert run(
+            "approx", "--in", str(out), "--backend", "poly", "--gamma", "100",
+        ) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "search ceiling" in err[0]
+
     def test_strict_rank_infeasible(self, tmp_path, capsys):
         out = tmp_path / "hard"
         run("gen", "--seed", "2", "--L", "8", "--d", "3", "--r", "1",

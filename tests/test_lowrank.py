@@ -121,6 +121,17 @@ class TestConfigAndDegree:
         assert at_g <= target
         assert below_g > target
 
+    def test_degree_search_ceiling_is_a_typed_error(self):
+        # d * gamma^2 = 6400 needs a degree past the search ceiling; the
+        # refusal names the ceiling and its rank instead of a bare
+        # RuntimeError.
+        cfg = PolyApproxConfig(gamma=40.0, degree=None, eps_target=1e-3)
+        with pytest.raises(RankInfeasibleError, match="search ceiling") as info:
+            select_degree(cfg, 4)
+        assert info.value.degree == 10_000
+        assert info.value.rank == monomial_count(4, 10_000)
+        assert info.value.limit is None
+
     def test_rank_ceiling_raises(self):
         inst, adp, Wstar = gen_instance(2, 8, 4, 1, 0.5)
         cfg = PolyApproxConfig(gamma=0.5, degree=None, eps_target=1e-3)
@@ -247,6 +258,17 @@ class TestPolyBackend:
         cfg = PolyApproxConfig(gamma=2.0, degree=1, eps_target=1e-3)
         with pytest.raises(ApproxBreakdownError):
             approx_f_poly(inst, 2.0 * np.eye(2), cfg)
+
+    @pytest.mark.parametrize("gamma, degree", [(1e60, 6), (1e40, 8)])
+    def test_overflowing_feature_map_breaks_down(self, gamma, degree):
+        # The feature maps overflow to inf, so the normalizers are inf or
+        # NaN; neither is <= 0, and without a finiteness check the gradient
+        # came back all NaN with no error.
+        inst, adp, Wstar = gen_instance(1, 16, 2, 1, gamma)
+        cfg = PolyApproxConfig(gamma=gamma, degree=degree, eps_target=1e-3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ApproxBreakdownError, match="non-finite"):
+                approx_grad_special(inst, Wstar, adp, cfg)
 
     def test_holds_two_feature_buffers(self):
         # U1 is Phi1 normalized in place, so the factor's two halves are the

@@ -1,5 +1,7 @@
 """Text matrix files and instance bundle directories."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,16 @@ class TestBundles:
         assert np.array_equal(adp2.B, adp.B)
         assert np.array_equal(adp2.A, adp.A)
         assert adp2.r == adp.r
+
+    def test_adapter_scale_other_than_one_is_refused(self, tmp_path):
+        # The format has no alpha field and loads alpha = r, so an adapter
+        # with alpha = 3r would come back as a different model.
+        inst, adp, Wstar = gen_instance(2, 8, 3, 1, 0.5)
+        adp3 = dataclasses.replace(adp, alpha=3.0 * adp.r)
+        bundle = tmp_path / "b"
+        with pytest.raises(ValueError, match="alpha"):
+            save_bundle(bundle, inst, seed=2, gamma=0.5, Wstar=Wstar, adapter=adp3)
+        assert not bundle.exists()
 
     def test_optional_members_absent(self, tmp_path):
         inst, _, _ = gen_instance(9, 4, 2, 1, 0.5)
