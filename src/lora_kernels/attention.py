@@ -22,6 +22,13 @@ Orientation conventions, used consistently everywhere downstream:
   against f.T that turns q into p.
 * r[j] = <f[j, :], q[:, j]> = <c[j, :] + Y[j, :], c[j, :]> is the
   softmax-Jacobian row dot (softmax_dots).
+
+Row blocks: the L x L passes walk their buffer in blocks of
+max(1, BLOCK_ELEMENTS // L) rows, about 512 KiB of float64, and finish
+each block before touching the next, so the block is still in cache for
+its later steps. _score_matrix writes a block of S and reads its max and
+min, one pass over S; softmax_rows shifts, exponentiates and normalizes
+a block, two passes (read S, write f).
 """
 
 import os
@@ -40,6 +47,9 @@ from .errors import (
 
 # Largest |score| exp can take in float64 before overflowing to inf.
 SCORE_LIMIT = 709.78
+
+# Entries per row block of an L x L pass: 64Ki float64, 512 KiB.
+BLOCK_ELEMENTS = 2**16
 
 # Default ceiling on L for any code path that materializes an L x L array.
 DEFAULT_GUARD_L = 2**14
@@ -64,6 +74,12 @@ def check_dense_guard(L):
             f"refusing to materialize an {L} x {L} matrix; the dense-path "
             f"guard is {limit} (override via {GUARD_ENV_VAR})"
         )
+
+
+def row_blocks(n_rows, row_len):
+    """Slices of max(1, BLOCK_ELEMENTS // row_len) consecutive rows, the last ragged."""
+    step = max(1, BLOCK_ELEMENTS // max(row_len, 1))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
 @dataclass(frozen=True)
@@ -150,12 +166,20 @@ def adapted_weight(Wstar, adp):
 def _score_matrix(left, right):
     """S = left @ right.T, refused past the dense guard or outside exp's range.
 
-    The range check reads S.max() and S.min(), so it builds no |S| array.
+    Each row block of S is written, then its max and min are read while it
+    is in cache, so the range check makes no pass of its own over S and
+    builds no |S| array. NaN fails the final comparison, so it is refused too.
     """
-    check_dense_guard(left.shape[0])
-    S = instrument.matmul(left, right.T)
-    max_abs = max(float(S.max()), -float(S.min())) if S.size else 0.0
-    if max_abs > SCORE_LIMIT:
+    L = left.shape[0]
+    check_dense_guard(L)
+    S = np.empty((L, right.shape[0]))
+    blocks = row_blocks(*S.shape)
+    extremes = np.empty((len(blocks), 2))
+    for k, blk in enumerate(blocks):
+        S_blk = instrument.matmul(left[blk], right.T, out=S[blk])
+        extremes[k] = S_blk.max(), -S_blk.min()
+    max_abs = float(extremes.max(initial=0.0))
+    if not max_abs <= SCORE_LIMIT:
         raise ScoreOverflowError(max_abs, SCORE_LIMIT)
     return S
 
@@ -174,15 +198,22 @@ def scores(inst, W):
 def softmax_rows(S, out=None):
     """Row-stochastic matrix from raw scores, stabilized by row-max shifts.
 
-    The shift, exp and normalization run in place in out, which may be S
-    itself. Without out, a new array is returned and S is left unchanged.
+    Each row block is shifted, exponentiated and normalized before the next
+    one is read. The work runs in out, which may be S itself. Without out, a
+    new array is returned and S is left unchanged.
     """
-    f = np.subtract(S, S.max(axis=1, keepdims=True), out=out, dtype=float)
-    np.exp(f, out=f)
-    f *= 1.0 / f.sum(axis=1, keepdims=True)
+    S = np.asarray(S)
+    if out is None:
+        out = np.empty(S.shape)
+    for blk in row_blocks(*S.shape):
+        f = np.subtract(
+            S[blk], S[blk].max(axis=1, keepdims=True), out=out[blk], dtype=float
+        )
+        np.exp(f, out=f)
+        f *= 1.0 / f.sum(axis=1, keepdims=True)
     instrument.count(4 * S.size)
-    instrument.alloc(f.size)
-    return f
+    instrument.alloc(out.size)
+    return out
 
 
 def forward_f(inst, W):

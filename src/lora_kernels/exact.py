@@ -19,6 +19,12 @@ A gradient holds two L x L buffers. The scores S are exponentiated and
 normalized in place into f, and p is written over q. q is stored
 column-major, like f.T, so each L x L pass reads and writes in memory order.
 
+The stages that make several passes over an L x L buffer (scores, softmax
+and p) walk it in row blocks of max(1, BLOCK_ELEMENTS // L) rows, about
+512 KiB (attention.row_blocks), and finish each block while it is in
+cache. A gradient then reads or writes an L x L buffer 9 times: scores 1,
+softmax 2, residual 1, q 1, p 3 (read q and f, write p) and the sandwich 1.
+
 The general problem is two copies of the special case that share one score
 matrix (compose_general_constants). One p therefore serves both sides, and
 so does one sandwich: both weight gradients are read off G = XQ.T @ p.T @ XK.
@@ -36,6 +42,7 @@ from .attention import (
     forward_f,
     q_from_c,
     residual_from_f,
+    row_blocks,
     softmax_dots,
 )
 from .errors import DimensionError
@@ -61,8 +68,10 @@ def split_p(f, q, r, out=None):
 
     Column j of p is (diag(f_j) - f_j f_j^T) q_j = f_j * (q_j - r_j), where
     f_j is softmax row j of f, q_j is column j of q and r_j = <f_j, q_j>
-    (softmax_dots). Each column costs O(L). p is written into out, which may
-    be q itself; without out, a new array is returned and f and q are left
+    (softmax_dots). Each column costs O(L). In row blocks of the transposes,
+    p.T[blk] = (q.T[blk] - r[blk]) * f[blk]; for a column-major q and p all
+    three are row-major. p is written into out, which may be q itself;
+    without out, a new array in q's layout is returned and f and q are left
     unchanged.
     """
     f = np.asarray(f)
@@ -75,8 +84,10 @@ def split_p(f, q, r, out=None):
     if r.shape != f.shape[:1]:
         raise DimensionError(f"r must have shape {f.shape[:1]}, got {r.shape}")
     check_dense_guard(f.shape[0])
-    p = np.subtract(q, r, out=out)
-    p *= f.T
+    p = np.empty_like(q, dtype=np.result_type(q, r)) if out is None else out
+    for blk in row_blocks(*f.shape):
+        p_blk = np.subtract(q.T[blk], r[blk, None], out=p.T[blk])
+        p_blk *= f[blk]
     instrument.count(2 * f.size)
     instrument.alloc(p.size)
     return p

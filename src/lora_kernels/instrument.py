@@ -44,12 +44,12 @@ def count(n):
         tally.madds += n
 
 
-def matmul(a, b):
+def matmul(a, b, out=None):
     """a @ b, charging rows(a) * cols(a) * cols(b) multiply-adds.
 
-    A vector b counts as one column.
+    A vector b counts as one column. With out, the product is written there.
     """
-    out = a @ b
+    out = np.matmul(a, b, out=out)
     count(a.size * (b.shape[1] if b.ndim == 2 else 1))
     return out
 

@@ -120,7 +120,7 @@ def colwise_kronecker(A, B):
         )
     L = A.shape[0]
     k1, k2 = A.shape[1], B.shape[1]
-    out = (A[:, :, None] * B[:, None, :]).reshape(L, k1 * k2)
+    out = np.einsum("la,lt->lat", A, B).reshape(L, k1 * k2)
     instrument.count(L * k1 * k2)
     instrument.alloc(out.size)
     return out
@@ -265,37 +265,37 @@ def feature_map(X, g):
     Within each degree the monomials are ordered by their last (largest)
     variable i. The degree-t columns ending in i are then the first
     C(i+t-1, t-1) degree-(t-1) columns, each times X[:, i], so every (t, i)
-    block is one product into a contiguous slice of a k1 x L buffer. A last
-    pass scales each column by 1/sqrt(beta!), with beta! tracked alongside:
-    appending i to a monomial whose last variable is i, m times over,
-    multiplies beta! by m + 1. The constant column is neither multiplied
-    nor scaled. The result is the buffer's transpose, an L x k1 view.
+    block is built from a contiguous run of parents into a contiguous slice
+    of a k1 x L buffer. The block splits into segments by the exponent m of
+    variable i in the new monomial: segment m has C(i-1+t-m, t-m) columns
+    (for i = 0, only the column x0^t, with m = t), and their parents are
+    consecutive. Appending i to a monomial that already holds it m - 1
+    times multiplies beta! by m, so the segment's factor is X[:, i] / sqrt(m)
+    and each column is scaled as it is built. The constant column is neither
+    multiplied nor scaled. The result is the buffer's transpose, an L x k1
+    view.
     """
     X = np.asarray(X)
     L, d = X.shape
-    XT = np.ascontiguousarray(X.T)
     k1 = monomial_count(d, g)
+    # step[m - 1, i] = X[:, i] / sqrt(m), the factor of segment m.
+    step = X.T[None] / np.sqrt(np.arange(1, g + 1))[:, None, None]
     Phi = np.empty((k1, L))
     instrument.alloc(Phi.size)
     Phi[0] = 1.0
-    fact = np.ones(k1)
-    last = np.full(k1, -1)
-    run = np.zeros(k1, dtype=int)
     prev = 0
     pos = 1
     for t in range(1, g + 1):
         start = pos
         for i in range(d):
-            n = math.comb(i + t - 1, t - 1)
-            par, blk = slice(prev, prev + n), slice(pos, pos + n)
-            np.multiply(Phi[par], XT[i], out=Phi[blk])
-            run[blk] = np.where(last[par] == i, run[par] + 1, 1)
-            fact[blk] = fact[par] * run[blk]
-            last[blk] = i
-            pos += n
+            par = prev
+            for m in range(1, t + 1):
+                n = math.comb(i - 1 + t - m, t - m) if i else int(m == t)
+                np.multiply(Phi[par : par + n], step[m - 1, i], out=Phi[pos : pos + n])
+                par += n
+                pos += n
         prev = start
-    Phi[1:] *= (1.0 / np.sqrt(fact[1:]))[:, None]
-    instrument.count(2 * L * (k1 - 1))
+    instrument.count(L * (k1 - 1) + max(g - 1, 0) * d * L)
     return Phi.T
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import BLOCK_ROWS
 from lora_kernels.attention import (
     AttentionInstance,
     GeneralInstance,
@@ -22,6 +23,7 @@ from lora_kernels.attention import (
     loss,
     q_from_c,
     residual_c,
+    row_blocks,
     scores,
     softmax_rows,
 )
@@ -196,6 +198,60 @@ class TestForward:
         monkeypatch.setenv("LORA_KERNELS_GUARD_L", "many")
         with pytest.raises(ValueError):
             guard_limit()
+
+
+class TestRowBlocks:
+    # blocked_L runs every L x L pass in blocks of BLOCK_ROWS rows.
+
+    def test_blocks_cover_the_rows_in_order(self, blocked_L):
+        blocks = row_blocks(blocked_L, blocked_L)
+        rows = [i for blk in blocks for i in range(blocked_L)[blk]]
+        assert rows == list(range(blocked_L))
+        assert all(blk.stop - blk.start == BLOCK_ROWS for blk in blocks)
+
+    def test_scores_match_one_product(self, rng, blocked_L):
+        inst = random_instance(rng, blocked_L, 3)
+        W = rng.standard_normal((3, 3))
+        want = (inst.C1 @ W) @ inst.C2.T
+        assert np.abs(scores(inst, W) - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_softmax_matches_unblocked_formula(self, rng, blocked_L):
+        S = 3.0 * rng.standard_normal((blocked_L, blocked_L))
+        want = np.exp(S - S.max(axis=1, keepdims=True))
+        want *= 1.0 / want.sum(axis=1, keepdims=True)
+        assert np.array_equal(softmax_rows(S), want)
+        assert np.array_equal(softmax_rows(S, out=S), want)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflow_in_the_last_block_only(self, blocked_L, sign):
+        # Only the last score row passes the limit, so a check that stops
+        # short of the last block misses it; the error reports the true max.
+        L = blocked_L
+        C1 = np.zeros((L, 1))
+        C1[-1] = 30.0
+        inst = AttentionInstance(
+            C1=C1,
+            C2=sign * np.linspace(31.0, 25.0, L)[:, None],
+            C3=np.zeros((L, 1)),
+            Y=np.zeros((L, 1)),
+        )
+        with pytest.raises(ScoreOverflowError) as info:
+            scores(inst, np.ones((1, 1)))
+        assert info.value.max_abs_score == 930.0
+
+    def test_nan_score_is_refused(self):
+        # Finite inputs whose score is inf * 0: the NaN score fails the
+        # range check instead of passing it.
+        inst = AttentionInstance(
+            C1=np.array([[1e300]]),
+            C2=np.array([[0.0]]),
+            C3=np.zeros((1, 1)),
+            Y=np.zeros((1, 1)),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ScoreOverflowError) as info:
+                scores(inst, np.array([[1e10]]))
+        assert math.isnan(info.value.max_abs_score)
 
 
 class TestLossAndIntermediates:

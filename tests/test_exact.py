@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lora_kernels.attention import (
+    BLOCK_ELEMENTS,
     AttentionInstance,
     GeneralInstance,
     LoraAdapter,
@@ -144,6 +145,38 @@ class TestComputeP:
             split_p(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(DimensionError):
             split_p(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(2))
+
+
+class TestRowBlocks:
+    def test_split_p_matches_unblocked_formula(self, rng, blocked_L):
+        # Column-major q, as the pipeline builds it, and a row-major one.
+        inst = random_instance(rng, blocked_L, 3)
+        f = forward_f(inst, rng.standard_normal((3, 3)))
+        c = f @ inst.C3 - inst.Y
+        r = softmax_dots(c, inst.Y)
+        for q in (q_from_c(c, inst), inst.C3 @ c.T):
+            assert np.array_equal(split_p(f, q, r), (q - r) * f.T)
+
+    # At L = 1024 a block is 64 rows. A block loop that slips in an L x L
+    # temporary breaks these bounds.
+    L = 1024
+
+    def test_softmax_in_place_holds_under_two_blocks(self, rng):
+        S = rng.standard_normal((self.L, self.L))
+        assert traced_peak(lambda: softmax_rows(S, out=S)) < 2 * BLOCK_ELEMENTS * 8
+
+    def test_split_p_in_place_holds_under_two_blocks(self, rng):
+        inst = random_instance(rng, self.L, 4)
+        f = forward_f(inst, rng.standard_normal((4, 4)))
+        c = f @ inst.C3 - inst.Y
+        q = q_from_c(c, inst)
+        r = softmax_dots(c, inst.Y)
+        assert traced_peak(lambda: split_p(f, q, r, out=q)) < 2 * BLOCK_ELEMENTS * 8
+
+    def test_gradient_holds_two_square_arrays(self, rng):
+        inst = random_instance(rng, self.L, 4)
+        W = rng.standard_normal((4, 4))
+        assert traced_peak(grad_wrt_W, inst, W) <= 2.1 * self.L * self.L * 8
 
 
 class TestGradW:

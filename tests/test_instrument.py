@@ -46,9 +46,10 @@ def general_problem(seed, L, d):
     return g, adpQ, adpK
 
 
-def factored_side(L, d, k1):
+def factored_side(L, d, g):
     """Multiply-adds of one factored side up to dL/dW, before the projection."""
-    per_row = k1 * (2 * d * d + 4 * d + 6) + 3 * d * d + 5 * d - 4
+    k1 = monomial_count(d, g)
+    per_row = k1 * (2 * d * d + 4 * d + 4) + 3 * d * d + (2 * g + 3) * d - 2
     return L * per_row + k1 * d * d * (d + 1)
 
 
@@ -84,8 +85,7 @@ class TestClosedForms:
     def test_factored_special(self, L, d):
         inst, adp, Wstar = gen_instance(3, L, d, R, 0.5)
         cfg = PolyApproxConfig(gamma=0.5, degree=DEGREE, eps_target=1e-3)
-        k1 = monomial_count(d, DEGREE)
-        want = factored_side(L, d, k1) + 2 * R * d * d
+        want = factored_side(L, d, DEGREE) + 2 * R * d * d
         assert madds(approx_grad_special, inst, Wstar, adp, cfg) == want
 
     @pytest.mark.parametrize("L, d", SIZES)
@@ -93,6 +93,5 @@ class TestClosedForms:
         g, adpQ, adpK = general_problem(4, L, d)
         # The degree is pinned, so gamma only has to bound the checked norms.
         cfg = PolyApproxConfig(gamma=10.0, degree=DEGREE, eps_target=1e-3)
-        k1 = monomial_count(d, DEGREE)
-        want = 3 * L * d * d + 2 * factored_side(L, d, k1) + 4 * R * d * d
+        want = 3 * L * d * d + 2 * factored_side(L, d, DEGREE) + 4 * R * d * d
         assert madds(approx_grad_general, g, adpQ, adpK, cfg) == want
