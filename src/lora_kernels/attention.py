@@ -23,6 +23,9 @@ Orientation conventions, used consistently everywhere downstream:
 * r[j] = <f[j, :], q[:, j]> = <c[j, :] + Y[j, :], c[j, :]> is the
   softmax-Jacobian row dot (softmax_dots).
 
+S and q are allocated by instrument.empty; softmax_rows turns S into f in
+place.
+
 Row blocks: the L x L passes walk their buffer in blocks of
 max(1, BLOCK_ELEMENTS // L) rows, about 512 KiB of float64, and finish
 each block before touching the next, so the block is still in cache for
@@ -31,7 +34,6 @@ min, one pass over S; softmax_rows shifts, exponentiates and normalizes
 a block, two passes (read S, write f).
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +42,6 @@ from . import instrument
 from .errors import (
     DimensionError,
     ScoreOverflowError,
-    SizeGuardError,
     as_matrix,
     check_positive_finite,
 )
@@ -50,31 +51,6 @@ SCORE_LIMIT = 709.78
 
 # Entries per row block of an L x L pass: 64Ki float64, 512 KiB.
 BLOCK_ELEMENTS = 2**16
-
-# Default ceiling on L for any code path that materializes an L x L array.
-DEFAULT_GUARD_L = 2**14
-GUARD_ENV_VAR = "LORA_KERNELS_GUARD_L"
-
-
-def guard_limit():
-    """Current L ceiling for dense L x L materialization."""
-    raw = os.environ.get(GUARD_ENV_VAR)
-    if raw is None:
-        return DEFAULT_GUARD_L
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{GUARD_ENV_VAR} must be an integer, got {raw!r}")
-
-
-def check_dense_guard(L):
-    limit = guard_limit()
-    if L > limit:
-        raise SizeGuardError(
-            f"refusing to materialize an {L} x {L} matrix; the dense-path "
-            f"guard is {limit} (override via {GUARD_ENV_VAR})"
-        )
-
 
 def row_blocks(n_rows, row_len):
     """Slices of max(1, BLOCK_ELEMENTS // row_len) consecutive rows, the last ragged."""
@@ -164,21 +140,18 @@ def adapted_weight(Wstar, adp):
 
 
 def _score_matrix(left, right):
-    """S = left @ right.T, refused past the dense guard or outside exp's range.
+    """S = left @ right.T, refused past the size guard or outside exp's range.
 
     Each row block of S is written, then its max and min are read while it
     is in cache, so the range check makes no pass of its own over S and
     builds no |S| array. NaN fails the final comparison, so it is refused too.
     """
-    L = left.shape[0]
-    check_dense_guard(L)
-    S = np.empty((L, right.shape[0]))
-    blocks = row_blocks(*S.shape)
-    extremes = np.empty((len(blocks), 2))
-    for k, blk in enumerate(blocks):
+    S = instrument.empty((left.shape[0], right.shape[0]))
+    extremes = [0.0]
+    for blk in row_blocks(*S.shape):
         S_blk = instrument.matmul(left[blk], right.T, out=S[blk])
-        extremes[k] = S_blk.max(), -S_blk.min()
-    max_abs = float(extremes.max(initial=0.0))
+        extremes += S_blk.max(), -S_blk.min()
+    max_abs = float(np.max(extremes))
     if not max_abs <= SCORE_LIMIT:
         raise ScoreOverflowError(max_abs, SCORE_LIMIT)
     return S
@@ -190,36 +163,27 @@ def scores(inst, W):
     d = inst.d
     if W.shape != (d, d):
         raise DimensionError(f"W must be {d} x {d}, got {W.shape}")
-    S = _score_matrix(instrument.matmul(inst.C1, W), inst.C2)
-    instrument.alloc(S.size)
-    return S
+    return _score_matrix(instrument.matmul(inst.C1, W), inst.C2)
 
 
-def softmax_rows(S, out=None):
-    """Row-stochastic matrix from raw scores, stabilized by row-max shifts.
+def softmax_rows(S):
+    """Row-stochastic matrix from raw float scores, built in place in S.
 
-    Each row block is shifted, exponentiated and normalized before the next
-    one is read. The work runs in out, which may be S itself. Without out, a
-    new array is returned and S is left unchanged.
+    Each row block is shifted by its row maxima, exponentiated and
+    normalized before the next one is read. Returns S, now holding f.
     """
-    S = np.asarray(S)
-    if out is None:
-        out = np.empty(S.shape)
     for blk in row_blocks(*S.shape):
-        f = np.subtract(
-            S[blk], S[blk].max(axis=1, keepdims=True), out=out[blk], dtype=float
-        )
+        f = S[blk]
+        f -= f.max(axis=1, keepdims=True)
         np.exp(f, out=f)
         f *= 1.0 / f.sum(axis=1, keepdims=True)
     instrument.count(4 * S.size)
-    instrument.alloc(out.size)
-    return out
+    return S
 
 
 def forward_f(inst, W):
     """Attention matrix f(W), rows summing to one, built in the score buffer."""
-    S = scores(inst, W)
-    return softmax_rows(S, out=S)
+    return softmax_rows(scores(inst, W))
 
 
 def forward_output(inst, W):
@@ -237,10 +201,8 @@ def residual_from_f(f, inst):
 
 def q_from_c(c, inst):
     """q = C3 @ c.T for an already computed residual, stored column-major."""
-    check_dense_guard(inst.L)
-    q = instrument.matmul(c, inst.C3.T).T
-    instrument.alloc(q.size)
-    return q
+    L = inst.L
+    return instrument.matmul(c, inst.C3.T, out=instrument.empty((L, L))).T
 
 
 def softmax_dots(c, Y):
@@ -358,7 +320,6 @@ def general_scores(g, adpQ, adpK):
 
 def general_loss(g, adpQ, adpK):
     """0.5 * || rownorm(exp(S)) @ XV @ WVstar - Y ||_F^2."""
-    S = general_scores(g, adpQ, adpK)
-    f = softmax_rows(S, out=S)
+    f = softmax_rows(general_scores(g, adpQ, adpK))
     c = f @ (g.XV @ g.WVstar) - g.Y
     return 0.5 * float((c * c).sum())

@@ -30,7 +30,7 @@ class ScoreOverflowError(LoraKernelsError, OverflowError):
 
 
 class SizeGuardError(LoraKernelsError, ValueError):
-    """A dense code path refused to materialize an oversized intermediate."""
+    """A code path refused to allocate a buffer past the size guard."""
 
 
 class NormBoundError(LoraKernelsError, ValueError):

@@ -15,9 +15,9 @@ with the adapter gradients read off as dL/dA = B.T @ dL/dW and
 dL/dB = dL/dW @ A.T. p stores column j against softmax row j, so the matrix
 sandwiched between C1.T and C2 is p.T, whose row j is p_j.
 
-A gradient holds two L x L buffers. The scores S are exponentiated and
-normalized in place into f, and p is written over q. q is stored
-column-major, like f.T, so each L x L pass reads and writes in memory order.
+A gradient holds two L x L buffers, S and q, both from instrument.empty.
+S is exponentiated and normalized in place into f, and p is written over
+q. q is column-major, like f.T, so each L x L pass runs in memory order.
 
 The stages that make several passes over an L x L buffer (scores, softmax
 and p) walk it in row blocks of max(1, BLOCK_ELEMENTS // L) rows, about
@@ -37,7 +37,6 @@ import numpy as np
 from . import instrument
 from .attention import (
     adapted_weight,
-    check_dense_guard,
     compose_general_constants,
     forward_f,
     q_from_c,
@@ -63,34 +62,27 @@ def project(adp, M):
     )
 
 
-def split_p(f, q, r, out=None):
-    """Softmax-Jacobian action p from the attention, score and row-dot arrays.
+def split_p(f, q, r):
+    """Softmax-Jacobian action p, written over q, from f, q and the row dots r.
 
     Column j of p is (diag(f_j) - f_j f_j^T) q_j = f_j * (q_j - r_j), where
     f_j is softmax row j of f, q_j is column j of q and r_j = <f_j, q_j>
     (softmax_dots). Each column costs O(L). In row blocks of the transposes,
-    p.T[blk] = (q.T[blk] - r[blk]) * f[blk]; for a column-major q and p all
-    three are row-major. p is written into out, which may be q itself;
-    without out, a new array in q's layout is returned and f and q are left
-    unchanged.
+    p.T[blk] = (q.T[blk] - r[blk]) * f[blk]; for a column-major q all three
+    are row-major. Returns q, now holding p.
     """
-    f = np.asarray(f)
-    q = np.asarray(q)
-    r = np.asarray(r)
     if f.shape != q.shape or f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise DimensionError(
             f"f and q must be equal square matrices, got {f.shape} and {q.shape}"
         )
     if r.shape != f.shape[:1]:
         raise DimensionError(f"r must have shape {f.shape[:1]}, got {r.shape}")
-    check_dense_guard(f.shape[0])
-    p = np.empty_like(q, dtype=np.result_type(q, r)) if out is None else out
     for blk in row_blocks(*f.shape):
-        p_blk = np.subtract(q.T[blk], r[blk, None], out=p.T[blk])
+        p_blk = q.T[blk]
+        p_blk -= r[blk, None]
         p_blk *= f[blk]
     instrument.count(2 * f.size)
-    instrument.alloc(p.size)
-    return p
+    return q
 
 
 def compute_p(inst, W):
@@ -98,7 +90,7 @@ def compute_p(inst, W):
     f = forward_f(inst, W)
     c = residual_from_f(f, inst)
     q = q_from_c(c, inst)
-    return split_p(f, q, softmax_dots(c, inst.Y), out=q)
+    return split_p(f, q, softmax_dots(c, inst.Y))
 
 
 def grad_wrt_W(inst, W):

@@ -165,9 +165,9 @@ def gen_reduction(seed, L, r_red, b_bound):
 def reduction_output(ri, X=None):
     """Row-normalized exp(A1 X A2.T / r) @ A3, the pre-embedding forward."""
     X = ri.X if X is None else X
-    S = (ri.A1 @ X) @ ri.A2.T
+    S = np.matmul(ri.A1 @ X, ri.A2.T, out=instrument.empty((ri.L, ri.L)))
     S /= ri.r_red
-    return softmax_rows(S, out=S) @ ri.A3
+    return softmax_rows(S) @ ri.A3
 
 
 def reduction_loss(ri, X=None):
@@ -211,8 +211,8 @@ def bench_scaling(L_list, d, r, cfg, repeats=3, seed=0):
     Per L and path: the instrumented multiply-add count (identical across
     repeats) and the median wall time. The log-log slope of ops against L
     is fitted per path and repeated in every row of that path; it is NaN for
-    a path whose points cover fewer than two distinct sizes. Sizes the dense
-    guard refuses are recorded in result.skipped for the exact path.
+    a path whose points cover fewer than two distinct sizes. Points the size
+    guard refuses, on either path, are recorded in result.skipped.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")

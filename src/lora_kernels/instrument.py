@@ -1,15 +1,26 @@
-"""Arithmetic instrumentation: multiply-add tallies, allocation highwater, slopes.
+"""Arithmetic instrumentation: multiply-add tallies, the allocation rule, slopes.
 
 The multiply-add counts are analytic, so they are exact, deterministic, and
 independent of wall-clock noise. A matrix product is charged from its own
 operands (matmul), so its count cannot drift from the code it counts;
-elementwise work is charged by the kernel that does it (count). Allocation
-tracking records the element count of every array a kernel registers, which
-is how the tests prove the factored gradient path never materializes an
-L x L intermediate.
+elementwise work is charged by the kernel that does it (count).
+
+Every large buffer is allocated by empty, which refuses one of more than
+guard_limit()**2 elements before allocating it and records the size of the
+rest; the record is how the tests prove the factored gradient path never
+materializes an L x L intermediate.
 """
 
+import math
+import os
+
 import numpy as np
+
+from .errors import SizeGuardError
+
+# An L x L buffer passes the guard up to L = DEFAULT_GUARD_L.
+DEFAULT_GUARD_L = 2**14
+GUARD_ENV_VAR = "LORA_KERNELS_GUARD_L"
 
 _stack = []
 
@@ -54,11 +65,36 @@ def matmul(a, b, out=None):
     return out
 
 
-def alloc(n_elements):
-    """Record that a kernel materialized an array of n_elements entries."""
+def guard_limit():
+    """Current guard G: no buffer may hold more than G**2 elements."""
+    raw = os.environ.get(GUARD_ENV_VAR)
+    if raw is None:
+        return DEFAULT_GUARD_L
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{GUARD_ENV_VAR} must be an integer >= 0, got {raw!r}")
+    return int(raw)
+
+
+def empty(*shapes):
+    """np.empty of each shape, refused past guard_limit()**2 elements, else recorded.
+
+    All shapes are checked before any is allocated, so a SizeGuardError leaves
+    none behind; an L x L buffer passes exactly when L <= guard_limit().
+    One shape gives one array, several a list in their order.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    limit = guard_limit()
+    for shape, n in zip(shapes, sizes):
+        if n > limit * limit:
+            dims = " x ".join(map(str, shape))
+            raise SizeGuardError(
+                f"refusing to allocate a {dims} buffer ({n} elements); the guard "
+                f"allows {limit}**2 (override via {GUARD_ENV_VAR})"
+            )
     for tally in _stack:
-        if n_elements > tally.max_alloc:
-            tally.max_alloc = n_elements
+        tally.max_alloc = max([tally.max_alloc, *sizes])
+    bufs = [np.empty(shape) for shape in shapes]
+    return bufs if len(bufs) > 1 else bufs[0]
 
 
 def loglog_slope(sizes, costs):

@@ -30,6 +30,9 @@ A[:, s] * B[:, t] elementwise. It satisfies the identity
   so each of U1 and V1 is read once. Only dense(), which is test support,
   builds the halves.
 
+Every buffer comes from instrument.empty, so a rank k1 blown up past the
+norm threshold is refused before its L x k1 feature map exists.
+
 Memory order: feature_map fills a k1 x L buffer and returns its transpose,
 so U1.T and V1.T are row-major. The normalizer divides Phi1 in place, and
 every L-deep product runs as (k x L) @ (L x m) on those transposes, so each
@@ -57,7 +60,6 @@ import numpy as np
 from . import instrument
 from .attention import (
     adapted_weight,
-    check_dense_guard,
     compose_general_constants,
     softmax_dots,
 )
@@ -105,9 +107,8 @@ class LowRankFactor:
         return self.U.shape[1]
 
     def dense(self):
-        """Materialize U @ V.T. Test support; guarded like the exact path."""
-        check_dense_guard(self.L)
-        return self.U @ self.V.T
+        """Materialize U @ V.T. Test support."""
+        return np.matmul(self.U, self.V.T, out=instrument.empty((self.L, self.L)))
 
 
 def colwise_kronecker(A, B):
@@ -120,9 +121,9 @@ def colwise_kronecker(A, B):
         )
     L = A.shape[0]
     k1, k2 = A.shape[1], B.shape[1]
-    out = np.einsum("la,lt->lat", A, B).reshape(L, k1 * k2)
+    out = instrument.empty((L, k1 * k2))
+    np.einsum("la,lt->lat", A, B, out=out.reshape(L, k1, k2))
     instrument.count(L * k1 * k2)
-    instrument.alloc(out.size)
     return out
 
 
@@ -162,9 +163,10 @@ class KhatriRaoFactor:
         return self.A.shape[1] * self.B.shape[1]
 
     def dense(self):
-        """Materialize the L x L matrix. Test support; guarded like the exact path."""
-        check_dense_guard(self.L)
-        return colwise_kronecker(self.A, self.B) @ colwise_kronecker(self.C, self.D).T
+        """Materialize the L x L matrix. Test support."""
+        return LowRankFactor(
+            U=colwise_kronecker(self.A, self.B), V=colwise_kronecker(self.C, self.D)
+        ).dense()
 
     def __sub__(self, other):
         """self - other as one factor, for two factors that share A and C.
@@ -278,10 +280,11 @@ def feature_map(X, g):
     X = np.asarray(X)
     L, d = X.shape
     k1 = monomial_count(d, g)
+    # step first: freed, it leaves a hole below Phi for the later temporaries;
+    # with Phi first, a call's page faults (0 or ~2,300 at L=16384) varied by run.
+    step, Phi = instrument.empty((g, d, L), (k1, L))
     # step[m - 1, i] = X[:, i] / sqrt(m), the factor of segment m.
-    step = X.T[None] / np.sqrt(np.arange(1, g + 1))[:, None, None]
-    Phi = np.empty((k1, L))
-    instrument.alloc(Phi.size)
+    np.divide(X.T[None], np.sqrt(np.arange(1, g + 1))[:, None, None], out=step)
     Phi[0] = 1.0
     prev = 0
     pos = 1
@@ -311,8 +314,11 @@ def approx_f_poly(inst, W, cfg, max_rank=None):
 
     With max_rank given, a degree, adaptive or pinned, whose monomial count
     k1 = C(d+g, g) exceeds it raises RankInfeasibleError; that error is the
-    phase-transition signal.
+    phase-transition signal. A max_rank below 1, which no degree meets,
+    raises ValueError before the degree search.
     """
+    if max_rank is not None and max_rank < 1:
+        raise ValueError(f"max_rank must be at least 1, got {max_rank}")
     W = as_matrix(W, "W")
     d = inst.d
     if W.shape != (d, d):
@@ -351,12 +357,10 @@ def approx_q(f_lr, inst):
     """
     if f_lr.L != inst.L:
         raise DimensionError("factor and instance disagree on L")
-    M = instrument.matmul(f_lr.V.T, inst.C3)
-    instrument.alloc(M.size)
-    c = instrument.matmul(M.T, f_lr.U.T).T
+    M = instrument.matmul(f_lr.V.T, inst.C3, out=instrument.empty((f_lr.k, inst.d)))
+    c = instrument.matmul(M.T, f_lr.U.T, out=instrument.empty((inst.d, inst.L))).T
     c -= inst.Y
     instrument.count(c.size)
-    instrument.alloc(c.size)
     return LowRankFactor(U=inst.C3, V=c)
 
 

@@ -85,7 +85,8 @@ def load_meta(dirpath):
 def load_bundle(dirpath):
     """Read a bundle directory back into (inst, meta, Wstar, adapter).
 
-    Wstar and adapter are None when the optional files are absent.
+    Wstar and adapter are None when the optional files are absent. A meta.txt
+    whose L and d disagree with the matrices raises ValueError.
     """
     inst = AttentionInstance(
         C1=load_matrix(os.path.join(dirpath, "C1.mat")),
@@ -94,6 +95,11 @@ def load_bundle(dirpath):
         Y=load_matrix(os.path.join(dirpath, "Y.mat")),
     )
     meta = load_meta(dirpath)
+    if meta[:2] != (inst.L, inst.d):
+        raise ValueError(
+            f"{dirpath}: meta.txt gives L x d = {meta[0]} x {meta[1]}, but the "
+            f"matrices are {inst.L} x {inst.d}"
+        )
     Wstar = None
     adapter = None
     wpath = os.path.join(dirpath, "Wstar.mat")

@@ -83,7 +83,7 @@ def kronecker(A, B):
         raise DimensionError("kronecker expects two matrices")
     elements = A.shape[0] * B.shape[0] * A.shape[1] * B.shape[1]
     if elements > _KRON_ELEMENT_LIMIT:
-        raise DimensionError(
+        raise SizeGuardError(
             f"kronecker result would hold {elements} elements, "
             f"over the {_KRON_ELEMENT_LIMIT} limit"
         )

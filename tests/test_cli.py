@@ -119,6 +119,15 @@ class TestApprox:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "search ceiling" in err[0]
 
+    @pytest.mark.parametrize("rank", ["0", "-3"])
+    def test_rank_ceiling_below_one_is_one_error_line(self, bundle, capsys, rank):
+        assert run(
+            "approx", "--in", str(bundle), "--backend", "poly", "--rank", rank,
+        ) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "at least 1" in err[0]
+
     def test_strict_rank_infeasible(self, tmp_path, capsys):
         out = tmp_path / "hard"
         run("gen", "--seed", "2", "--L", "8", "--d", "3", "--r", "1",

@@ -114,29 +114,25 @@ class TestComputeP:
         f = forward_f(inst, W)
         c = f @ inst.C3 - inst.Y
         q = inst.C3 @ c.T
-        p = split_p(f, q, softmax_dots(c, inst.Y))
+        p = split_p(f, q.copy(), softmax_dots(c, inst.Y))
         for j in range(6):
             fj = f[j, :]
             qj = q[:, j]
             assert np.abs(p[:, j] - (fj * qj - fj * (fj @ qj))).max() <= 1e-13
 
     def test_split_p_out_ownership(self, rng):
-        # Without out, f and q are left bit-identical; with out=q, p is
-        # written over q, with the same arithmetic.
+        # p is written over q, which is returned, with the arithmetic of the
+        # unblocked formula on a copy; f is left bit-identical.
         inst = random_instance(rng, 6, 3)
         W = rng.standard_normal((3, 3))
         f = forward_f(inst, W)
         c = f @ inst.C3 - inst.Y
         q = q_from_c(c, inst)
         r = softmax_dots(c, inst.Y)
-        f_kept, q_kept = f.copy(), q.copy()
-        p = split_p(f, q, r)
+        f_kept, want = f.copy(), (q - r) * f.T
+        assert split_p(f, q, r) is q
+        assert np.array_equal(q, want)
         assert np.array_equal(f, f_kept)
-        assert np.array_equal(q, q_kept)
-        assert not np.shares_memory(p, q)
-        p_in = split_p(f, q, r, out=q)
-        assert np.shares_memory(p_in, q)
-        assert np.array_equal(p_in, p)
 
     def test_split_p_shape_check(self):
         with pytest.raises(DimensionError):
@@ -155,7 +151,8 @@ class TestRowBlocks:
         c = f @ inst.C3 - inst.Y
         r = softmax_dots(c, inst.Y)
         for q in (q_from_c(c, inst), inst.C3 @ c.T):
-            assert np.array_equal(split_p(f, q, r), (q - r) * f.T)
+            want = (q - r) * f.T
+            assert np.array_equal(split_p(f, q, r), want)
 
     # At L = 1024 a block is 64 rows. A block loop that slips in an L x L
     # temporary breaks these bounds.
@@ -163,7 +160,7 @@ class TestRowBlocks:
 
     def test_softmax_in_place_holds_under_two_blocks(self, rng):
         S = rng.standard_normal((self.L, self.L))
-        assert traced_peak(lambda: softmax_rows(S, out=S)) < 2 * BLOCK_ELEMENTS * 8
+        assert traced_peak(softmax_rows, S) < 2 * BLOCK_ELEMENTS * 8
 
     def test_split_p_in_place_holds_under_two_blocks(self, rng):
         inst = random_instance(rng, self.L, 4)
@@ -171,7 +168,7 @@ class TestRowBlocks:
         c = f @ inst.C3 - inst.Y
         q = q_from_c(c, inst)
         r = softmax_dots(c, inst.Y)
-        assert traced_peak(lambda: split_p(f, q, r, out=q)) < 2 * BLOCK_ELEMENTS * 8
+        assert traced_peak(split_p, f, q, r) < 2 * BLOCK_ELEMENTS * 8
 
     def test_gradient_holds_two_square_arrays(self, rng):
         inst = random_instance(rng, self.L, 4)

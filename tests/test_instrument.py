@@ -1,12 +1,15 @@
-"""The cost rule: products charge from their operands, and each path's closed form."""
+"""The cost and allocation rules: products charge from their operands, each
+path's closed form, and buffers refused past the guard or recorded."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lora_kernels import instrument
 from lora_kernels.attention import GeneralInstance, LoraAdapter
+from lora_kernels.errors import SizeGuardError
 from lora_kernels.exact import grad_adapters_general, grad_adapters_special
 from lora_kernels.harness import gen_instance
 from lora_kernels.lowrank import (
@@ -62,6 +65,51 @@ class TestMatmul:
             out = instrument.matmul(a, b)
         assert np.array_equal(out, a @ b)
         assert tally.madds == charge
+
+
+class TestEmpty:
+    def test_registers_in_every_active_recording(self):
+        with instrument.recording() as outer:
+            assert instrument.empty((3, 4)).shape == (3, 4)
+            with instrument.recording() as inner:
+                instrument.empty((2, 5))
+            instrument.empty((1, 7))
+        assert (outer.max_alloc, inner.max_alloc) == (12, 10)
+
+    def test_refuses_past_the_guard_squared_before_allocating(self, monkeypatch):
+        monkeypatch.setenv(instrument.GUARD_ENV_VAR, "1024")
+        assert instrument.empty((1024, 1024)).dtype == np.float64
+        tracemalloc.start()
+        try:
+            with instrument.recording() as tally:
+                with pytest.raises(SizeGuardError, match="1024 x 1025"):
+                    instrument.empty((1024, 1025))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The refused buffer would be 8 MiB; it is neither allocated nor recorded.
+        assert peak < 2**20
+        assert tally.max_alloc == 0
+
+    def test_several_shapes_come_back_in_order(self):
+        with instrument.recording() as tally:
+            a, b = instrument.empty((2, 3, 4), (5, 6))
+        assert (a.shape, b.shape) == ((2, 3, 4), (5, 6))
+        assert tally.max_alloc == 30
+
+    def test_one_refused_shape_refuses_them_all(self, monkeypatch):
+        monkeypatch.setenv(instrument.GUARD_ENV_VAR, "1024")
+        tracemalloc.start()
+        try:
+            with instrument.recording() as tally:
+                with pytest.raises(SizeGuardError, match="1024 x 1025"):
+                    instrument.empty((512, 1024), (1024, 1025))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The first buffer, 4 MiB, would pass alone; it is not allocated either.
+        assert peak < 2**20
+        assert tally.max_alloc == 0
 
 
 class TestClosedForms:

@@ -16,6 +16,9 @@ import lora_kernels
 # import these, never the other way round.
 HOT_PATH = ("__init__", "attention", "exact", "lowrank", "instrument", "errors")
 UPPER = {"oracle", "harness", "cli"}
+# The gradient-path modules whose buffers must all come from instrument.empty.
+BUFFER_MODULES = ("attention", "exact", "lowrank")
+RAW_ALLOCATORS = {"empty", "empty_like"}
 
 
 def imported_modules(path):
@@ -41,6 +44,37 @@ def test_detects_an_upper_layer_import(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text("from . import instrument\nfrom .oracle import fd_grad\n")
     assert imported_modules(src) & UPPER == {"oracle"}
+
+
+def raw_allocations(path):
+    """Names of the np.empty / np.empty_like calls in a module's source."""
+    return [
+        f"{node.func.value.id}.{node.func.attr}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in {"np", "numpy"}
+        and node.func.attr in RAW_ALLOCATORS
+    ]
+
+
+@pytest.mark.parametrize("module", BUFFER_MODULES)
+def test_buffers_come_from_the_allocation_rule(module):
+    # A bare np.empty would bypass the size guard and the recorded peak.
+    path = Path(lora_kernels.__file__).with_name(f"{module}.py")
+    assert raw_allocations(path) == []
+
+
+def test_detects_a_raw_allocation(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import numpy as np\n"
+        "a = instrument.empty((2, 2))\n"
+        "b = np.empty_like(a)\n"
+        "c = np.empty((3,))\n"
+    )
+    assert raw_allocations(src) == ["np.empty_like", "np.empty"]
 
 
 def test_gradient_path_loads_only_the_gradient_path():

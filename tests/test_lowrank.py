@@ -28,6 +28,7 @@ from lora_kernels.errors import (
     NonFiniteError,
     NormBoundError,
     RankInfeasibleError,
+    SizeGuardError,
 )
 from lora_kernels.exact import grad_adapters_general, grad_adapters_special
 from lora_kernels.lowrank import (
@@ -286,6 +287,23 @@ class TestPolyBackend:
             tracemalloc.stop()
         assert peak < 2.75 * L * monomial_count(d, g) * 8
         assert f_lr.U.T.flags.c_contiguous and f_lr.V.T.flags.c_contiguous
+
+    def test_oversize_feature_map_refused_before_allocating(self, monkeypatch):
+        # d = 8 at gamma = 0.5 needs degree 11, k1 = C(19, 11) = 75,582: a
+        # 75,582 x 8,192 feature map of 4.6 GiB, past the default guard.
+        monkeypatch.delenv(instrument.GUARD_ENV_VAR, raising=False)
+        L, d = 8192, 8
+        inst, adp, Wstar = gen_instance(4, L, d, 2, 0.5)
+        cfg = PolyApproxConfig(gamma=0.5, degree=None, eps_target=1e-3)
+        assert monomial_count(d, select_degree(cfg, d)) == 75_582
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match="75582 x 8192"):
+                approx_grad_special(inst, Wstar, adp, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_explicit_rank_ceiling(self):
         inst, adp, Wstar = gen_instance(2, 8, 3, 1, 0.5)

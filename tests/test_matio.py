@@ -101,6 +101,14 @@ class TestBundles:
         save_bundle(bundle, inst, seed=1, gamma=0.25)
         assert load_meta(bundle) == (4, 2, 1, 0.25)
 
+    def test_meta_disagreeing_with_matrices(self, tmp_path):
+        inst, adp, Wstar = gen_instance(1, 16, 2, 1, 0.25)
+        bundle = tmp_path / "b"
+        save_bundle(bundle, inst, seed=1, gamma=0.25, Wstar=Wstar, adapter=adp)
+        (bundle / "meta.txt").write_text("64 2 1 0.25\n")
+        with pytest.raises(ValueError, match="64 x 2.*16 x 2"):
+            load_bundle(bundle)
+
     def test_malformed_meta(self, tmp_path):
         inst, _, _ = gen_instance(1, 4, 2, 1, 0.25)
         bundle = tmp_path / "b"

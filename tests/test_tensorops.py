@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lora_kernels.errors import DimensionError, NormBoundError, check_norm_bound
+from lora_kernels.errors import (
+    DimensionError,
+    NormBoundError,
+    SizeGuardError,
+    check_norm_bound,
+)
 from lora_kernels.lowrank import colwise_kronecker
 from lora_kernels.oracle import (
     kronecker,
@@ -76,7 +81,7 @@ class TestKronecker:
 
     def test_element_limit(self):
         big = np.zeros((2**16, 1))
-        with pytest.raises(DimensionError):
+        with pytest.raises(SizeGuardError):
             kronecker(big, big)
 
     @given(st.integers(0, 2**31 - 1))
