@@ -17,13 +17,13 @@ Orientation conventions, used consistently everywhere downstream:
   query j.
 * c = f @ C3 - Y is the L x d residual.
 * q = C3 @ c.T is L x L with COLUMN j paired with softmax row j:
-  q[l, j] = <C3[l, :], c[j, :]>. q is stored column-major (built as
-  (c @ C3.T).T), so column j is contiguous, and so is the elementwise pass
-  against f.T that turns q into p.
+  q[l, j] = <C3[l, :], c[j, :]>. It has rank d and is held as the pair
+  (C3, c) (q_from_c); exact.split_p builds one row block of q.T = c @ C3.T
+  at a time, and the oracle alone builds it whole.
 * r[j] = <f[j, :], q[:, j]> = <c[j, :] + Y[j, :], c[j, :]> is the
   softmax-Jacobian row dot (softmax_dots).
 
-S and q are allocated by instrument.empty; softmax_rows turns S into f in
+Only S is allocated by instrument.empty; softmax_rows turns S into f in
 place.
 
 Row blocks: the L x L passes walk their buffer in blocks of
@@ -52,9 +52,14 @@ SCORE_LIMIT = 709.78
 # Entries per row block of an L x L pass: 64Ki float64, 512 KiB.
 BLOCK_ELEMENTS = 2**16
 
+def block_rows(row_len):
+    """Rows per block of a pass over rows of row_len: max(1, BLOCK_ELEMENTS // row_len)."""
+    return max(1, BLOCK_ELEMENTS // max(row_len, 1))
+
+
 def row_blocks(n_rows, row_len):
-    """Slices of max(1, BLOCK_ELEMENTS // row_len) consecutive rows, the last ragged."""
-    step = max(1, BLOCK_ELEMENTS // max(row_len, 1))
+    """Slices of block_rows(row_len) consecutive rows, the last ragged."""
+    step = block_rows(row_len)
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
@@ -200,9 +205,12 @@ def residual_from_f(f, inst):
 
 
 def q_from_c(c, inst):
-    """q = C3 @ c.T for an already computed residual, stored column-major."""
-    L = inst.L
-    return instrument.matmul(c, inst.C3.T, out=instrument.empty((L, L))).T
+    """q = C3 @ c.T for an already computed residual, held as its rank-d pair (C3, c).
+
+    Nothing is built or charged: split_p forms each row block of q.T from
+    the pair while the block is in cache.
+    """
+    return inst.C3, c
 
 
 def softmax_dots(c, Y):

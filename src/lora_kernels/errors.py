@@ -47,7 +47,8 @@ class NormBoundError(LoraKernelsError, ValueError):
 
 
 class ApproxBreakdownError(LoraKernelsError, ArithmeticError):
-    """The polynomial softmax surrogate gave a non-positive or non-finite normalizer."""
+    """The polynomial softmax surrogate gave, or is certain to give, a
+    non-positive or non-finite normalizer."""
 
 
 class RankInfeasibleError(LoraKernelsError, ValueError):
@@ -88,7 +89,7 @@ def as_matrix(a, name="matrix"):
 
 
 def check_norm_bound(name, mat, bound):
-    """Raise NormBoundError when max |mat| exceeds bound or is NaN.
+    """max |mat|, or NormBoundError when it exceeds bound or is NaN.
 
     The relative slack of 1e-12 lets instances rescaled to sit exactly at
     the bound pass on the last float64 ulp.
@@ -96,6 +97,7 @@ def check_norm_bound(name, mat, bound):
     measured = float(np.abs(mat).max())
     if not measured <= bound * (1.0 + 1e-12):
         raise NormBoundError(name, measured, bound)
+    return measured
 
 
 def check_positive_finite(name, value):

@@ -6,7 +6,7 @@ is compared. The stages are
 
     f = rownorm(exp(C1 @ W @ C2.T))           attention matrix
     c = f @ C3 - Y                            residual
-    q = C3 @ c.T                              score matrix (columns <-> rows)
+    q = C3 @ c.T                              held as its rank-d pair (C3, c)
     r_j = <f_j, q_j> = <c_j + Y_j, c_j>       row dots, O(L d) from c
     p[:, j] = f_j * (q_j - r_j)               softmax-Jacobian action
     dL/dW = C1.T @ p.T @ C2                   weight gradient
@@ -15,15 +15,17 @@ with the adapter gradients read off as dL/dA = B.T @ dL/dW and
 dL/dB = dL/dW @ A.T. p stores column j against softmax row j, so the matrix
 sandwiched between C1.T and C2 is p.T, whose row j is p_j.
 
-A gradient holds two L x L buffers, S and q, both from instrument.empty.
-S is exponentiated and normalized in place into f, and p is written over
-q. q is column-major, like f.T, so each L x L pass runs in memory order.
+A gradient holds one L x L buffer, S, from instrument.empty. S is
+exponentiated and normalized in place into f, and p.T is written over f.
+q has rank d, so it is never built whole (attention.q_from_c): split_p
+forms each row block of q.T from the pair in one block-sized scratch
+buffer, also from instrument.empty, just before it multiplies it into f.
 
 The stages that make several passes over an L x L buffer (scores, softmax
 and p) walk it in row blocks of max(1, BLOCK_ELEMENTS // L) rows, about
 512 KiB (attention.row_blocks), and finish each block while it is in
-cache. A gradient then reads or writes an L x L buffer 9 times: scores 1,
-softmax 2, residual 1, q 1, p 3 (read q and f, write p) and the sandwich 1.
+cache. A gradient then reads or writes an L x L buffer 7 times: scores 1,
+softmax 2, residual 1, p 2 (read f, write p over it) and the sandwich 1.
 
 The general problem is two copies of the special case that share one score
 matrix (compose_general_constants). One p therefore serves both sides, and
@@ -37,6 +39,7 @@ import numpy as np
 from . import instrument
 from .attention import (
     adapted_weight,
+    block_rows,
     compose_general_constants,
     forward_f,
     q_from_c,
@@ -63,26 +66,34 @@ def project(adp, M):
 
 
 def split_p(f, q, r):
-    """Softmax-Jacobian action p, written over q, from f, q and the row dots r.
+    """Softmax-Jacobian action p, written over f, from f, the pair q = (C3, c) and r.
 
     Column j of p is (diag(f_j) - f_j f_j^T) q_j = f_j * (q_j - r_j), where
-    f_j is softmax row j of f, q_j is column j of q and r_j = <f_j, q_j>
-    (softmax_dots). Each column costs O(L). In row blocks of the transposes,
-    p.T[blk] = (q.T[blk] - r[blk]) * f[blk]; for a column-major q all three
-    are row-major. Returns q, now holding p.
+    f_j is softmax row j of f, q_j = C3 @ c_j is column j of q = C3 @ c.T
+    and r_j = <f_j, q_j> (softmax_dots). In row blocks of the transposes,
+    p.T[blk] = (c[blk] @ C3.T - r[blk]) * f[blk]: each block of q.T is built
+    in one block-sized scratch buffer and multiplied into f while both are
+    in cache, so q is never held whole. Returns f.T, the buffer now holding
+    p.T, in p's column convention.
     """
-    if f.shape != q.shape or f.ndim != 2 or f.shape[0] != f.shape[1]:
+    C3, c = q
+    L = f.shape[0]
+    if f.shape != (L, L):
+        raise DimensionError(f"f must be a square matrix, got {f.shape}")
+    if C3.ndim != 2 or C3.shape[0] != L or c.shape != C3.shape:
         raise DimensionError(
-            f"f and q must be equal square matrices, got {f.shape} and {q.shape}"
+            f"q's factors must both be {L} x d, got {C3.shape} and {c.shape}"
         )
-    if r.shape != f.shape[:1]:
-        raise DimensionError(f"r must have shape {f.shape[:1]}, got {r.shape}")
-    for blk in row_blocks(*f.shape):
-        p_blk = q.T[blk]
-        p_blk -= r[blk, None]
-        p_blk *= f[blk]
+    if r.shape != (L,):
+        raise DimensionError(f"r must have shape {(L,)}, got {r.shape}")
+    q_rows = instrument.empty((min(L, block_rows(L)), L))
+    for blk in row_blocks(L, L):
+        c_blk = c[blk]
+        q_blk = instrument.matmul(c_blk, C3.T, out=q_rows[: len(c_blk)])
+        q_blk -= r[blk, None]
+        f[blk] *= q_blk
     instrument.count(2 * f.size)
-    return q
+    return f.T
 
 
 def compute_p(inst, W):

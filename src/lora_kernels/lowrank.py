@@ -79,6 +79,9 @@ from .exact import project
 # rank no machine holds, so the search refuses past it.
 _DEGREE_CEILING = 10_000
 
+# log of the largest finite float64.
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+
 
 @dataclass(frozen=True)
 class LowRankFactor:
@@ -324,12 +327,25 @@ def approx_f_poly(inst, W, cfg, max_rank=None):
     if W.shape != (d, d):
         raise DimensionError(f"W must be {d} x {d}, got {W.shape}")
     CW = instrument.matmul(inst.C1, W)
-    check_norm_bound("C1 @ W", CW, cfg.gamma)
-    check_norm_bound("C2", inst.C2, cfg.gamma)
+    x_max = max(
+        check_norm_bound("C1 @ W", CW, cfg.gamma),
+        check_norm_bound("C2", inst.C2, cfg.gamma),
+    )
     g = cfg.degree if cfg.degree is not None else select_degree(cfg, d)
     k1 = monomial_count(d, g)
     if max_rank is not None and k1 > max_rank:
         raise RankInfeasibleError(g, k1, max_rank)
+    # The pure-power column x^g / sqrt(g!) of the largest entry overflows
+    # to inf past float64's range, and an inf feature gives an inf or NaN
+    # normalizer; refuse before building either map.
+    log_col = g * math.log(x_max) - 0.5 * math.lgamma(g + 1) if x_max > 0 else 0.0
+    if log_col > _LOG_FLOAT_MAX:
+        raise ApproxBreakdownError(
+            f"truncated polynomial feature map is certain to be non-finite: "
+            f"max |x| = {x_max:.3e} gives x^{g}/sqrt({g}!) = exp({log_col:.1f}), "
+            f"past float64's exp({_LOG_FLOAT_MAX:.1f}); the norm bound "
+            f"gamma={cfg.gamma} is too large for degree {g}"
+        )
     Phi1 = feature_map(CW, g)
     Phi2 = feature_map(inst.C2, g)
     col_mass = Phi2.sum(axis=0)

@@ -38,7 +38,6 @@ from .attention import (
     forward_f,
     general_loss,
     loss,
-    q_from_c,
     residual_from_f,
 )
 from .errors import DimensionError, NonFiniteError, SizeGuardError
@@ -208,7 +207,7 @@ def dense_p_oracle(inst, W):
         )
     f = forward_f(inst, W)
     c = residual_from_f(f, inst)
-    q = q_from_c(c, inst)
+    q = inst.C3 @ c.T
     p1 = np.empty((L, L))
     p2 = np.empty((L, L))
     for j in range(L):

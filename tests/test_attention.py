@@ -1,6 +1,7 @@
 """Forward pass, loss, residual/score intermediates, and instance composition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import BLOCK_ROWS
+from lora_kernels import instrument
 from lora_kernels.attention import (
+    BLOCK_ELEMENTS,
     AttentionInstance,
     GeneralInstance,
     LoraAdapter,
@@ -33,6 +36,12 @@ from lora_kernels.errors import (
     SizeGuardError,
 )
 from lora_kernels.instrument import guard_limit
+
+
+def dense_q(pair):
+    """q = C3 @ c.T built whole from its rank-d pair (C3, c)."""
+    C3, c = pair
+    return C3 @ c.T
 
 
 def random_instance(rng, L, d, scale=1.0):
@@ -306,7 +315,7 @@ class TestLossAndIntermediates:
         W = rng.standard_normal((2, 2))
         Y = forward_f(inst0, W) @ inst0.C3
         inst = AttentionInstance(C1=inst0.C1, C2=inst0.C2, C3=inst0.C3, Y=Y)
-        assert np.abs(q_from_c(residual_c(inst, W), inst)).max() <= 1e-14
+        assert np.abs(dense_q(q_from_c(residual_c(inst, W), inst))).max() <= 1e-14
 
     def test_zero_c3_residual_and_q(self, rng):
         inst0 = random_instance(rng, 4, 2)
@@ -315,23 +324,30 @@ class TestLossAndIntermediates:
         )
         W = rng.standard_normal((2, 2))
         assert np.abs(residual_c(inst, W) + inst0.Y).max() <= 1e-14
-        assert np.abs(q_from_c(residual_c(inst, W), inst)).max() == 0.0
+        assert np.abs(dense_q(q_from_c(residual_c(inst, W), inst))).max() == 0.0
 
     def test_q_matches_brute_force(self, rng):
         inst = random_instance(rng, 4, 2)
         W = rng.standard_normal((2, 2))
         c = forward_f(inst, W) @ inst.C3 - inst.Y
-        q = q_from_c(residual_c(inst, W), inst)
+        q = dense_q(q_from_c(residual_c(inst, W), inst))
         assert np.abs(q - inst.C3 @ c.T).max() <= 1e-14
 
-    def test_q_is_column_major(self, rng):
-        # Column j of q is contiguous, which keeps split_p's pass against f.T
-        # in memory order.
-        inst = random_instance(rng, 6, 3)
-        c = rng.standard_normal((6, 3))
-        q = q_from_c(c, inst)
-        assert q.flags.f_contiguous
-        assert np.abs(q - inst.C3 @ c.T).max() <= 1e-14
+    def test_q_from_c_allocates_nothing(self, rng):
+        # q is held as its rank-d pair; a dense q at L = 1024 would be 8 MiB.
+        L = 1024
+        inst = random_instance(rng, L, 3)
+        c = rng.standard_normal((L, 3))
+        tracemalloc.start()
+        try:
+            with instrument.recording() as tally:
+                C3, c_held = q_from_c(c, inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert C3 is inst.C3 and c_held is c
+        assert tally.max_alloc == 0
+        assert peak < BLOCK_ELEMENTS * 8
 
     def test_forward_output_shape(self, rng):
         inst = random_instance(rng, 5, 3)

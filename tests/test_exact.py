@@ -17,6 +17,7 @@ from lora_kernels.attention import (
     forward_f,
     general_loss,
     q_from_c,
+    row_blocks,
     softmax_dots,
     softmax_rows,
 )
@@ -114,45 +115,61 @@ class TestComputeP:
         f = forward_f(inst, W)
         c = f @ inst.C3 - inst.Y
         q = inst.C3 @ c.T
-        p = split_p(f, q.copy(), softmax_dots(c, inst.Y))
+        p = split_p(f.copy(), (inst.C3, c), softmax_dots(c, inst.Y))
         for j in range(6):
             fj = f[j, :]
             qj = q[:, j]
             assert np.abs(p[:, j] - (fj * qj - fj * (fj @ qj))).max() <= 1e-13
 
     def test_split_p_out_ownership(self, rng):
-        # p is written over q, which is returned, with the arithmetic of the
-        # unblocked formula on a copy; f is left bit-identical.
+        # p is written over f and returned as f.T, with the arithmetic of the
+        # unblocked formula on the dense q; the pair is left bit-identical.
         inst = random_instance(rng, 6, 3)
         W = rng.standard_normal((3, 3))
         f = forward_f(inst, W)
         c = f @ inst.C3 - inst.Y
-        q = q_from_c(c, inst)
         r = softmax_dots(c, inst.Y)
-        f_kept, want = f.copy(), (q - r) * f.T
-        assert split_p(f, q, r) is q
-        assert np.array_equal(q, want)
-        assert np.array_equal(f, f_kept)
+        c_kept, C3_kept = c.copy(), inst.C3.copy()
+        want = (inst.C3 @ c.T - r) * f.T
+        p = split_p(f, q_from_c(c, inst), r)
+        assert p.base is f
+        assert np.array_equal(p, want)
+        assert np.array_equal(c, c_kept) and np.array_equal(inst.C3, C3_kept)
 
     def test_split_p_shape_check(self):
-        with pytest.raises(DimensionError):
-            split_p(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(3))
-        with pytest.raises(DimensionError):
-            split_p(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3))
-        with pytest.raises(DimensionError):
-            split_p(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(2))
+        pair = (np.zeros((3, 2)), np.zeros((3, 2)))
+        for f, q, r in [
+            (np.zeros((3, 2)), pair, np.zeros(3)),
+            (np.zeros((3, 3)), (np.zeros((3, 2)), np.zeros((2, 2))), np.zeros(3)),
+            (np.zeros((3, 3)), (np.zeros((3, 2)), np.zeros((3, 3))), np.zeros(3)),
+            (np.zeros((3, 3)), (np.zeros((2, 2)), np.zeros((3, 2))), np.zeros(3)),
+            (np.zeros((3, 3)), pair, np.zeros(2)),
+        ]:
+            with pytest.raises(DimensionError):
+                split_p(f, q, r)
 
 
 class TestRowBlocks:
     def test_split_p_matches_unblocked_formula(self, rng, blocked_L):
-        # Column-major q, as the pipeline builds it, and a row-major one.
-        inst = random_instance(rng, blocked_L, 3)
-        f = forward_f(inst, rng.standard_normal((3, 3)))
+        # Bit for bit against the formula on each block's product of the
+        # pair. BLAS rounds a row of c @ C3.T by the product's shape (a
+        # one-row product goes through gemv), so against the whole dense q
+        # the blocks agree to rounding: per side, d ulps of the dot product
+        # and one each for the subtraction and the product with f <= 1.
+        d = 3
+        inst = random_instance(rng, blocked_L, d)
+        f = forward_f(inst, rng.standard_normal((d, d)))
         c = f @ inst.C3 - inst.Y
         r = softmax_dots(c, inst.Y)
-        for q in (q_from_c(c, inst), inst.C3 @ c.T):
-            want = (q - r) * f.T
-            assert np.array_equal(split_p(f, q, r), want)
+        want = np.vstack(
+            [(c[blk] @ inst.C3.T - r[blk, None]) * f[blk] for blk in row_blocks(*f.shape)]
+        ).T
+        dense = (inst.C3 @ c.T - r) * f.T
+        scale = (np.abs(inst.C3) @ np.abs(c).T + np.abs(r)).max()
+        rounding = 2 * (d + 2) * np.finfo(float).eps * scale
+        p = split_p(f, q_from_c(c, inst), r)
+        assert np.array_equal(p, want)
+        assert np.abs(p - dense).max() <= rounding
 
     # At L = 1024 a block is 64 rows. A block loop that slips in an L x L
     # temporary breaks these bounds.
@@ -170,10 +187,11 @@ class TestRowBlocks:
         r = softmax_dots(c, inst.Y)
         assert traced_peak(split_p, f, q, r) < 2 * BLOCK_ELEMENTS * 8
 
-    def test_gradient_holds_two_square_arrays(self, rng):
+    def test_gradient_holds_one_square_array(self, rng):
+        # S, then f, then p: one L x L buffer, plus split_p's one-block q.
         inst = random_instance(rng, self.L, 4)
         W = rng.standard_normal((4, 4))
-        assert traced_peak(grad_wrt_W, inst, W) <= 2.1 * self.L * self.L * 8
+        assert traced_peak(grad_wrt_W, inst, W) <= 1.1 * self.L * self.L * 8
 
 
 class TestGradW:
@@ -193,7 +211,7 @@ class TestGradW:
 
     def test_peak_memory_is_three_square_arrays(self, rng):
         # Three L x L arrays, with 0.25 of room for the L x d rest;
-        # test_peak_memory_is_two_square_arrays holds the tighter bound.
+        # test_peak_memory_is_one_square_array holds the tighter bound.
         L = 512
         inst = random_instance(rng, L, 4)
         W = rng.standard_normal((4, 4))
@@ -205,13 +223,14 @@ class TestGradW:
             tracemalloc.stop()
         assert peak <= 3.25 * L * L * 8
 
-    def test_peak_memory_is_two_square_arrays(self, rng):
-        # f is built in the score buffer and p over q, so only two L x L
-        # arrays are alive at once; 2.25 leaves room for the L x d rest.
-        L = 512
+    def test_peak_memory_is_one_square_array(self, rng):
+        # f is built in the score buffer and p over f, so one L x L array is
+        # alive at a time; 0.25 leaves room for split_p's one 512 KiB block
+        # of q and the L x d rest. At L = 512 that block alone is 0.25.
+        L = 1024
         inst = random_instance(rng, L, 4)
         W = rng.standard_normal((4, 4))
-        assert traced_peak(grad_wrt_W, inst, W) <= 2.25 * L * L * 8
+        assert traced_peak(grad_wrt_W, inst, W) <= 1.25 * L * L * 8
 
 
 class TestGradAdaptersSpecial:
@@ -388,15 +407,15 @@ class TestGradAdaptersGeneral:
         for G in (pair_q.GA, pair_q.GB, pair_k.GA, pair_k.GB):
             assert np.abs(G).max() <= 1e-13
 
-    def test_peak_memory_is_two_square_arrays(self, rng):
+    def test_peak_memory_is_one_square_array(self, rng):
         # One p serves both sides, so the two-sided path holds the special
-        # path's two L x L arrays.
-        L = 512
+        # path's one L x L array.
+        L = 1024
         g = self.random_general(rng, L, 4)
         adpQ = random_adapter(rng, 4, 2)
         adpK = random_adapter(rng, 4, 2)
         peak = traced_peak(grad_adapters_general, g, adpQ, adpK)
-        assert peak <= 2.25 * L * L * 8
+        assert peak <= 1.25 * L * L * 8
 
     def test_adapter_dimension_mismatch(self, rng):
         g = self.random_general(rng, 4, 2)

@@ -8,9 +8,17 @@ import numpy as np
 import pytest
 
 from lora_kernels import instrument
-from lora_kernels.attention import GeneralInstance, LoraAdapter
+from lora_kernels.attention import (
+    GeneralInstance,
+    LoraAdapter,
+    adapted_weight,
+    forward_f,
+    q_from_c,
+    residual_from_f,
+    softmax_dots,
+)
 from lora_kernels.errors import SizeGuardError
-from lora_kernels.exact import grad_adapters_general, grad_adapters_special
+from lora_kernels.exact import grad_adapters_general, grad_adapters_special, split_p
 from lora_kernels.harness import gen_instance
 from lora_kernels.lowrank import (
     PolyApproxConfig,
@@ -128,6 +136,20 @@ class TestClosedForms:
             (4 * d + 6) * L * L + (5 * d * d + 3 * d) * L + 4 * R * d * d + 2 * d**3
         )
         assert madds(grad_adapters_general, g, adpQ, adpK) == want
+
+    # L = 300 splits p into two row blocks, the last ragged.
+    @pytest.mark.parametrize("L, d", [(16, 2), (64, 3), (300, 4)])
+    def test_exact_q_and_p_stages(self, L, d):
+        # q is held as the pair (C3, c), so building it charges nothing;
+        # p charges q's rows, d per entry, and its 2 per entry.
+        inst, adp, Wstar = gen_instance(5, L, d, R, 0.5)
+        f = forward_f(inst, adapted_weight(Wstar, adp))
+        c = residual_from_f(f, inst)
+        r = softmax_dots(c, inst.Y)
+        with instrument.recording() as tally:
+            q = q_from_c(c, inst)
+        assert tally.madds == 0
+        assert madds(split_p, f, q, r) == (d + 2) * L * L
 
     @pytest.mark.parametrize("L, d", SIZES)
     def test_factored_special(self, L, d):

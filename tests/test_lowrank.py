@@ -262,14 +262,17 @@ class TestPolyBackend:
 
     @pytest.mark.parametrize("gamma, degree", [(1e60, 6), (1e40, 8)])
     def test_overflowing_feature_map_breaks_down(self, gamma, degree):
-        # The feature maps overflow to inf, so the normalizers are inf or
-        # NaN; neither is <= 0, and without a finiteness check the gradient
-        # came back all NaN with no error.
+        # The pure-power column x^g / sqrt(g!) of the largest entry is past
+        # float64's range, so the feature maps would overflow to inf and the
+        # normalizers be inf or NaN. The path refuses before building a map:
+        # nothing is allocated, and no overflow warning (an error under
+        # this suite's filter) is raised.
         inst, adp, Wstar = gen_instance(1, 16, 2, 1, gamma)
         cfg = PolyApproxConfig(gamma=gamma, degree=degree, eps_target=1e-3)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with instrument.recording() as tally:
             with pytest.raises(ApproxBreakdownError, match="non-finite"):
                 approx_grad_special(inst, Wstar, adp, cfg)
+        assert tally.max_alloc == 0
 
     def test_holds_two_feature_buffers(self):
         # U1 is Phi1 normalized in place, so the factor's two halves are the
@@ -388,8 +391,8 @@ class TestFactoredChain:
         inst, adp, Wstar = gen_instance(13, 10, 3, 1, 1.0)
         W = adapted_weight(Wstar, adp)
         q_lr = approx_q(self.exact_factor(inst, W), inst)
-        q = q_from_c(residual_c(inst, W), inst)
-        assert np.abs(q_lr.dense() - q).max() <= 1e-10
+        C3, c = q_from_c(residual_c(inst, W), inst)
+        assert np.abs(q_lr.dense() - C3 @ c.T).max() <= 1e-10
 
     def test_q_error_bound(self):
         inst, adp, Wstar = gen_instance(13, 12, 3, 2, 1.0)
@@ -397,7 +400,8 @@ class TestFactoredChain:
         f_lr = approx_f_svd(inst, W, 4)
         q_lr = approx_q(f_lr, inst)
         c_err = np.abs(q_lr.V - residual_c(inst, W)).max()
-        lhs = np.abs(q_lr.dense() - q_from_c(residual_c(inst, W), inst)).max()
+        C3, c = q_from_c(residual_c(inst, W), inst)
+        lhs = np.abs(q_lr.dense() - C3 @ c.T).max()
         assert lhs <= inst.d * np.abs(inst.C3).max() * c_err
 
     def test_p_factors_match_dense_split(self):
