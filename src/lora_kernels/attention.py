@@ -44,6 +44,7 @@ from .errors import (
     ScoreOverflowError,
     as_matrix,
     check_positive_finite,
+    matrix_fields,
 )
 
 # Largest |score| exp can take in float64 before overflowing to inf.
@@ -73,19 +74,7 @@ class AttentionInstance:
     Y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "C1", as_matrix(self.C1, "C1"))
-        object.__setattr__(self, "C2", as_matrix(self.C2, "C2"))
-        object.__setattr__(self, "C3", as_matrix(self.C3, "C3"))
-        object.__setattr__(self, "Y", as_matrix(self.Y, "Y"))
-        L, d = self.C1.shape
-        if L < 1 or d < 1:
-            raise DimensionError("instance needs L >= 1 and d >= 1")
-        for name in ("C2", "C3", "Y"):
-            if getattr(self, name).shape != (L, d):
-                raise DimensionError(
-                    f"{name} has shape {getattr(self, name).shape}, "
-                    f"expected {(L, d)}"
-                )
+        matrix_fields(self, "C1", {name: ("L", "d") for name in ("C2", "C3", "Y")})
 
     @property
     def L(self):
@@ -106,16 +95,12 @@ class LoraAdapter:
     alpha: float
 
     def __post_init__(self):
-        object.__setattr__(self, "B", as_matrix(self.B, "B"))
-        object.__setattr__(self, "A", as_matrix(self.A, "A"))
-        d = self.B.shape[0]
-        if self.B.shape != (d, self.r) or self.A.shape != (self.r, d):
+        matrix_fields(self, "B", {"A": ("r", "d")})
+        if not self.B.shape[1] == self.r <= self.d:
             raise DimensionError(
-                f"adapter shapes B{self.B.shape} / A{self.A.shape} do not "
-                f"match rank r={self.r}"
+                f"rank r={self.r} must be B's column count {self.B.shape[1]} "
+                f"and satisfy 1 <= r <= d={self.d}"
             )
-        if not 1 <= self.r <= d:
-            raise DimensionError(f"rank r={self.r} must satisfy 1 <= r <= d={d}")
         check_positive_finite("alpha", self.alpha)
 
     @property
@@ -137,10 +122,7 @@ def adapted_weight(Wstar, adp):
     The alpha/r factor lives inside C1, so the frozen weight is divided by it
     here and the adapter product enters unscaled.
     """
-    Wstar = as_matrix(Wstar, "Wstar")
-    d = adp.d
-    if Wstar.shape != (d, d):
-        raise DimensionError(f"Wstar must be {d} x {d}, got {Wstar.shape}")
+    Wstar = as_matrix(Wstar, "Wstar", (adp.d, adp.d))
     return (adp.r / adp.alpha) * Wstar + adp.B @ adp.A
 
 
@@ -164,10 +146,7 @@ def _score_matrix(left, right):
 
 def scores(inst, W):
     """S = C1 @ W @ C2.T, refusing entries outside exp's float64 range."""
-    W = as_matrix(W, "W")
-    d = inst.d
-    if W.shape != (d, d):
-        raise DimensionError(f"W must be {d} x {d}, got {W.shape}")
+    W = as_matrix(W, "W", (inst.d, inst.d))
     return _score_matrix(instrument.matmul(inst.C1, W), inst.C2)
 
 
@@ -252,15 +231,9 @@ class GeneralInstance:
     Y: np.ndarray
 
     def __post_init__(self):
-        for name in ("XQ", "XK", "XV", "WQstar", "WKstar", "WVstar", "Y"):
-            object.__setattr__(self, name, as_matrix(getattr(self, name), name))
-        L, d = self.XQ.shape
-        for name in ("XK", "XV", "Y"):
-            if getattr(self, name).shape != (L, d):
-                raise DimensionError(f"{name} must be {(L, d)}")
-        for name in ("WQstar", "WKstar", "WVstar"):
-            if getattr(self, name).shape != (d, d):
-                raise DimensionError(f"{name} must be {(d, d)}")
+        rows = {name: ("L", "d") for name in ("XK", "XV", "Y")}
+        weights = {name: ("d", "d") for name in ("WQstar", "WKstar", "WVstar")}
+        matrix_fields(self, "XQ", rows | weights)
 
     @property
     def L(self):

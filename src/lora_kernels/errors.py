@@ -78,14 +78,37 @@ class RankInfeasibleError(LoraKernelsError, ValueError):
         super().__init__(msg)
 
 
-def as_matrix(a, name="matrix"):
-    """Validate a as a finite 2-D float64 array and return it."""
+def as_matrix(a, name="matrix", shape=None):
+    """a as a finite 2-D float64 array, of the given shape when one is given.
+
+    The one check of an input matrix: DimensionError names the matrix with
+    the expected and actual shapes, NonFiniteError names it. A float64
+    array comes back as itself, not a copy.
+    """
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
+    if arr.ndim != 2 or (shape is not None and arr.shape != shape):
+        expected = "2-D" if shape is None else f"of shape {shape}"
+        raise DimensionError(f"{name} must be {expected}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
     return arr
+
+
+def matrix_fields(obj, first, shapes):
+    """Replace a frozen dataclass's matrix fields by their as_matrix arrays.
+
+    The field named first may have any shape whose two sizes are both at
+    least 1; obj's size properties read them from it. shapes maps each
+    other matrix field to its shape, spelled as a pair of those size
+    attributes, e.g. {"C2": ("L", "d")}.
+    """
+    arr = as_matrix(getattr(obj, first), first)
+    if 0 in arr.shape:
+        raise DimensionError(f"{first} needs both sizes >= 1, got shape {arr.shape}")
+    object.__setattr__(obj, first, arr)
+    for name, dims in shapes.items():
+        shape = tuple(getattr(obj, dim) for dim in dims)
+        object.__setattr__(obj, name, as_matrix(getattr(obj, name), name, shape))
 
 
 def check_norm_bound(name, mat, bound):

@@ -25,9 +25,9 @@ from .errors import (
     ApproxBreakdownError,
     DimensionError,
     SizeGuardError,
-    as_matrix,
     check_norm_bound,
     check_positive_finite,
+    matrix_fields,
 )
 from .exact import grad_adapters_special
 from .instrument import loglog_slope
@@ -122,16 +122,8 @@ class ReductionInstance:
     b_bound: float
 
     def __post_init__(self):
-        for name in ("A1", "A2", "A3", "E", "X"):
-            object.__setattr__(self, name, as_matrix(getattr(self, name), name))
-        L, r = self.A1.shape
-        if L < 1 or r < 1:
-            raise DimensionError(f"invalid sizes L={L}, r_red={r}")
-        for name in ("A2", "A3", "E"):
-            if getattr(self, name).shape != (L, r):
-                raise DimensionError(f"{name} must be {(L, r)}")
-        if self.X.shape != (r, r):
-            raise DimensionError(f"X must be {(r, r)}")
+        rows = {name: ("L", "r_red") for name in ("A2", "A3", "E")}
+        matrix_fields(self, "A1", rows | {"X": ("r_red", "r_red")})
         check_positive_finite("b_bound", self.b_bound)
         check_norm_bound("A1 @ X", self.A1 @ self.X, self.b_bound)
         check_norm_bound("A2", self.A2, self.b_bound)

@@ -16,7 +16,8 @@ A[:, s] * B[:, t] elementwise. It satisfies the identity
     (A1 ck A2) @ (B1 ck B2).T = (A1 @ B1.T) * (A2 @ B2.T)   (elementwise)
 
 * f ~ U1 @ V1.T with rank k1 (one of the two backends below).
-* q = C3 @ c.T exactly, with the L x d residual c = U1 (V1.T C3) - Y: rank d.
+* q = C3 @ c.T exactly, with the L x d residual c = U1 (V1.T C3) - Y: rank d,
+  held as the pair (C3, c), as the exact path's attention.q_from_c holds it.
 * r_j = <f_j, q_j> = <c_j + Y_j, c_j>, read off c in O(L d) (softmax_dots).
 * p1 = f.T * q = (V1 @ U1.T) * (C3 @ c.T) elementwise. By the
   columnwise-Kronecker identity this is (V1 ck C3) @ (U1 ck c).T, of rank
@@ -85,7 +86,7 @@ _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 @dataclass(frozen=True)
 class LowRankFactor:
-    """An L x L matrix held as U @ V.T with U, V of shape L x k: f and q.
+    """An L x L matrix held as U @ V.T with U, V of shape L x k: the f factor.
 
     Production configurations keep k well below L; full-rank SVD factors
     and hand-built test factors may reach or exceed L and are allowed.
@@ -225,7 +226,8 @@ class PolyApproxConfig:
         check_positive_finite("gamma", self.gamma)
         check_positive_finite("eps_target", self.eps_target)
         g = self.degree
-        if g is not None and not (isinstance(g, numbers.Integral) and g >= 0):
+        integer = isinstance(g, numbers.Integral) and not isinstance(g, bool)
+        if g is not None and not (integer and g >= 0):
             raise ValueError(f"degree must be None or an integer >= 0, got {g!r}")
 
 
@@ -322,10 +324,8 @@ def approx_f_poly(inst, W, cfg, max_rank=None):
     """
     if max_rank is not None and max_rank < 1:
         raise ValueError(f"max_rank must be at least 1, got {max_rank}")
-    W = as_matrix(W, "W")
     d = inst.d
-    if W.shape != (d, d):
-        raise DimensionError(f"W must be {d} x {d}, got {W.shape}")
+    W = as_matrix(W, "W", (d, d))
     CW = instrument.matmul(inst.C1, W)
     x_max = max(
         check_norm_bound("C1 @ W", CW, cfg.gamma),
@@ -365,11 +365,10 @@ def approx_f_poly(inst, W, cfg, max_rank=None):
 
 
 def approx_q(f_lr, inst):
-    """Factor of q = C3 @ c.T built from the f factor, exactly, at rank d.
+    """q = C3 @ c.T as its rank-d pair (C3, c), built from the f factor exactly.
 
-    U2 = C3 and V2 = c = U1 @ (V1.T @ C3) - Y, the L x d residual with f
-    kept factored; the product U2 @ V2.T equals q with no approximation
-    beyond f's own.
+    c = U1 @ (V1.T @ C3) - Y is the L x d residual with f kept factored;
+    C3 @ c.T equals q with no approximation beyond f's own.
     """
     if f_lr.L != inst.L:
         raise DimensionError("factor and instance disagree on L")
@@ -377,18 +376,20 @@ def approx_q(f_lr, inst):
     c = instrument.matmul(M.T, f_lr.U.T, out=instrument.empty((inst.d, inst.L))).T
     c -= inst.Y
     instrument.count(c.size)
-    return LowRankFactor(U=inst.C3, V=c)
+    return inst.C3, c
 
 
-def approx_p1(f_lr, q_lr):
+def approx_p1(f_lr, q):
     """Implicit factor of p1 = f.T * q via the columnwise-Kronecker identity.
 
-    p1's column convention stores f row j against column j, so the dense
-    target is (V1 U1.T) * (U2 V2.T) = (V1 ck U2) @ (U1 ck V2).T, rank
-    k1 * k2. The halves are not built: the KhatriRaoFactor keeps the four
-    thin factors and contracts them in its sandwich.
+    p1's column convention stores f row j against column j, so with q the
+    pair (C3, c) the dense target is (V1 U1.T) * (C3 c.T) =
+    (V1 ck C3) @ (U1 ck c).T, rank k1 * d. The halves are not built: the
+    KhatriRaoFactor keeps the four thin factors and contracts them in its
+    sandwich.
     """
-    return KhatriRaoFactor(A=f_lr.V, B=q_lr.U, C=f_lr.U, D=q_lr.V)
+    C3, c = q
+    return KhatriRaoFactor(A=f_lr.V, B=C3, C=f_lr.U, D=c)
 
 
 def approx_p2(f_lr, r):
@@ -410,9 +411,9 @@ def _grad_W(f_lr, inst):
     once. p2's row dots are read off q's residual half. The factors are
     freed on return.
     """
-    q_lr = approx_q(f_lr, inst)
-    r = softmax_dots(q_lr.V, inst.Y)
-    p = approx_p1(f_lr, q_lr) - approx_p2(f_lr, r)
+    C3, c = approx_q(f_lr, inst)
+    r = softmax_dots(c, inst.Y)
+    p = approx_p1(f_lr, (C3, c)) - approx_p2(f_lr, r)
     return p.sandwich(inst.C1, inst.C2)
 
 

@@ -2,7 +2,9 @@
 
 Matrix format: first line "<rows> <cols>", then one line per row of
 whitespace-separated decimal literals written with 17 significant digits,
-which round-trips float64 exactly.
+which round-trips float64 exactly. Both directions check the matrix with
+errors.as_matrix, so a non-finite matrix is refused before its file is
+written, and a file that saves always loads.
 
 An instance bundle is a directory holding C1.mat, C2.mat, C3.mat, Y.mat and
 meta.txt (one line: "L d seed gamma"). Generated bundles also carry
@@ -16,13 +18,11 @@ import os
 import numpy as np
 
 from .attention import AttentionInstance, LoraAdapter
-from .errors import DimensionError
+from .errors import as_matrix
 
 
 def save_matrix(path, M):
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise DimensionError(f"can only save 2-D matrices, got shape {M.shape}")
+    M = as_matrix(M, str(path))
     with open(path, "w") as fh:
         fh.write(f"{M.shape[0]} {M.shape[1]}\n")
         for row in M:
@@ -39,13 +39,7 @@ def load_matrix(path):
         data = np.loadtxt(fh, ndmin=2)
     if rows == 0 or cols == 0:
         data = np.zeros((rows, cols))
-    if data.shape != (rows, cols):
-        raise ValueError(
-            f"{path}: header says {(rows, cols)} but body has shape {data.shape}"
-        )
-    if data.size and not np.isfinite(data).all():
-        raise ValueError(f"{path}: contains non-finite entries")
-    return data
+    return as_matrix(data, str(path), (rows, cols))
 
 
 def save_bundle(dirpath, inst, seed, gamma, Wstar=None, adapter=None):

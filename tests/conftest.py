@@ -18,6 +18,12 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def dense_q(pair):
+    """q = C3 @ c.T built whole from its rank-d pair (C3, c)."""
+    C3, c = pair
+    return C3 @ c.T
+
+
 # Rows per block in the row-blocking tests.
 BLOCK_ROWS = 4
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import BLOCK_ROWS
+from conftest import BLOCK_ROWS, dense_q
 from lora_kernels import instrument
 from lora_kernels.attention import (
     BLOCK_ELEMENTS,
@@ -35,13 +35,8 @@ from lora_kernels.errors import (
     ScoreOverflowError,
     SizeGuardError,
 )
+from lora_kernels.harness import ReductionInstance
 from lora_kernels.instrument import guard_limit
-
-
-def dense_q(pair):
-    """q = C3 @ c.T built whole from its rank-d pair (C3, c)."""
-    C3, c = pair
-    return C3 @ c.T
 
 
 def random_instance(rng, L, d, scale=1.0):
@@ -65,7 +60,62 @@ def random_general(rng, L, d):
     )
 
 
+# Each problem type: valid fields at L = 4, d = 2, r = 1, the field that
+# fixes the sizes, and another matrix field for the shape and NaN cases.
+ROWS = np.full((4, 2), 0.5)
+PROBLEM_TYPES = [
+    pytest.param(
+        AttentionInstance,
+        dict(C1=ROWS, C2=ROWS, C3=ROWS, Y=ROWS),
+        "C1", "Y", id="AttentionInstance",
+    ),
+    pytest.param(
+        GeneralInstance,
+        dict(XQ=ROWS, XK=ROWS, XV=ROWS, Y=ROWS,
+             WQstar=np.eye(2), WKstar=np.eye(2), WVstar=np.eye(2)),
+        "XQ", "XK", id="GeneralInstance",
+    ),
+    pytest.param(
+        LoraAdapter,
+        dict(B=np.ones((2, 1)), A=np.ones((1, 2)), r=1, alpha=1.0),
+        "B", "A", id="LoraAdapter",
+    ),
+    pytest.param(
+        ReductionInstance,
+        dict(A1=ROWS, A2=ROWS, A3=ROWS, E=ROWS, X=np.eye(2), b_bound=1.0),
+        "A1", "X", id="ReductionInstance",
+    ),
+]
+
+
 class TestInstanceTypes:
+    @pytest.mark.parametrize("cls, fields, first, other", PROBLEM_TYPES)
+    def test_every_matrix_field_is_checked(self, cls, fields, first, other):
+        cls(**fields)
+        rows, cols = fields[other].shape
+        message = (
+            rf"^{other} must be of shape \({rows}, {cols}\), "
+            rf"got shape \({rows + 1}, {cols}\)"
+        )
+        with pytest.raises(DimensionError, match=message):
+            cls(**{**fields, other: np.ones((rows + 1, cols))})
+        nan = fields[other].copy()
+        nan[-1, -1] = np.nan
+        with pytest.raises(NonFiniteError, match=f"^{other} "):
+            cls(**{**fields, other: nan})
+        rows, cols = fields[first].shape
+        for empty in ((0, cols), (rows, 0)):
+            with pytest.raises(DimensionError, match=f"^{first} "):
+                cls(**{**fields, first: np.zeros(empty)})
+
+    @pytest.mark.parametrize("L, d", [(0, 2), (4, 0)])
+    def test_empty_general_instance_rejected(self, L, d):
+        # Consistent empty sizes: general_loss would read 0.0 on them.
+        X = np.zeros((L, d))
+        W = np.zeros((d, d))
+        with pytest.raises(DimensionError, match="^XQ "):
+            GeneralInstance(XQ=X, XK=X, XV=X, WQstar=W, WKstar=W, WVstar=W, Y=X)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             AttentionInstance(

@@ -19,6 +19,10 @@ UPPER = {"oracle", "harness", "cli"}
 # The gradient-path modules whose buffers must all come from instrument.empty.
 BUFFER_MODULES = ("attention", "exact", "lowrank")
 RAW_ALLOCATORS = {"empty", "empty_like"}
+# errors.as_matrix is the one finiteness check of an input matrix; oracle.fd_grad
+# also checks its scalar loss values.
+FINITENESS_CHECKERS = {"errors", "oracle"}
+PACKAGE_MODULES = {p.stem for p in Path(lora_kernels.__file__).parent.glob("*.py")}
 
 
 def imported_modules(path):
@@ -46,8 +50,8 @@ def test_detects_an_upper_layer_import(tmp_path):
     assert imported_modules(src) & UPPER == {"oracle"}
 
 
-def raw_allocations(path):
-    """Names of the np.empty / np.empty_like calls in a module's source."""
+def numpy_calls(path, names):
+    """The np.<name> calls in a module's source, for name in names."""
     return [
         f"{node.func.value.id}.{node.func.attr}"
         for node in ast.walk(ast.parse(path.read_text()))
@@ -55,7 +59,7 @@ def raw_allocations(path):
         and isinstance(node.func, ast.Attribute)
         and isinstance(node.func.value, ast.Name)
         and node.func.value.id in {"np", "numpy"}
-        and node.func.attr in RAW_ALLOCATORS
+        and node.func.attr in names
     ]
 
 
@@ -63,7 +67,7 @@ def raw_allocations(path):
 def test_buffers_come_from_the_allocation_rule(module):
     # A bare np.empty would bypass the size guard and the recorded peak.
     path = Path(lora_kernels.__file__).with_name(f"{module}.py")
-    assert raw_allocations(path) == []
+    assert numpy_calls(path, RAW_ALLOCATORS) == []
 
 
 def test_detects_a_raw_allocation(tmp_path):
@@ -74,7 +78,26 @@ def test_detects_a_raw_allocation(tmp_path):
         "b = np.empty_like(a)\n"
         "c = np.empty((3,))\n"
     )
-    assert raw_allocations(src) == ["np.empty_like", "np.empty"]
+    assert numpy_calls(src, RAW_ALLOCATORS) == ["np.empty_like", "np.empty"]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE_MODULES - FINITENESS_CHECKERS))
+def test_inputs_are_checked_by_the_input_rule(module):
+    # A hand-written finiteness check drifts from as_matrix's message and
+    # error type; input matrices go through as_matrix instead.
+    path = Path(lora_kernels.__file__).with_name(f"{module}.py")
+    assert numpy_calls(path, {"isfinite"}) == []
+
+
+def test_detects_a_finiteness_check(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import numpy as np\n"
+        "M = as_matrix(M, 'M', (2, 2))\n"
+        "if not np.isfinite(M).all():\n"
+        "    raise ValueError('M is not finite')\n"
+    )
+    assert numpy_calls(src, {"isfinite"}) == ["np.isfinite"]
 
 
 def test_gradient_path_loads_only_the_gradient_path():

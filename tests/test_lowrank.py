@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import dense_q
 from lora_kernels import instrument
 from lora_kernels.attention import (
     AttentionInstance,
@@ -70,10 +71,11 @@ class TestConfigAndDegree:
             with pytest.raises(ValueError, match="finite"):
                 PolyApproxConfig(gamma=0.5, degree=degree, eps_target=bad)
 
-    @pytest.mark.parametrize("bad", [2.5, 3.0, math.nan, math.inf, "3"])
+    @pytest.mark.parametrize("bad", [2.5, 3.0, math.nan, math.inf, "3", True, False])
     def test_config_rejects_non_integer_degree(self, bad):
         # 2.5 and NaN pass a plain < 0 check and only fail later, untyped,
-        # inside math.comb.
+        # inside math.comb; a bool is a numbers.Integral that feature_map's
+        # buffer shape refuses.
         with pytest.raises(ValueError, match="degree"):
             PolyApproxConfig(gamma=0.5, degree=bad, eps_target=1e-3)
 
@@ -357,7 +359,7 @@ class TestFactoredChain:
     def test_residual_exact_with_full_rank(self):
         inst, adp, Wstar = gen_instance(13, 10, 3, 1, 1.0)
         W = adapted_weight(Wstar, adp)
-        res = approx_q(self.exact_factor(inst, W), inst).V
+        _, res = approx_q(self.exact_factor(inst, W), inst)
         assert np.abs(res - residual_c(inst, W)).max() <= 1e-10
 
     def test_residual_zero_when_target_matches(self):
@@ -365,7 +367,7 @@ class TestFactoredChain:
         W = adapted_weight(Wstar, adp)
         Y = forward_f(inst0, W) @ inst0.C3
         inst = AttentionInstance(C1=inst0.C1, C2=inst0.C2, C3=inst0.C3, Y=Y)
-        res = approx_q(self.exact_factor(inst, W), inst).V
+        _, res = approx_q(self.exact_factor(inst, W), inst)
         assert np.abs(res).max() <= 1e-12
 
     def test_residual_error_bound(self):
@@ -373,45 +375,45 @@ class TestFactoredChain:
         W = adapted_weight(Wstar, adp)
         f = forward_f(inst, W)
         f_lr = approx_f_svd(inst, W, 4)
-        res = approx_q(f_lr, inst).V
+        _, res = approx_q(f_lr, inst)
         lhs = np.abs(res - residual_c(inst, W)).max()
         rhs = inst.d * np.abs(inst.C3).max() * np.abs(f_lr.dense() - f).max()
         assert lhs <= rhs
 
     def test_q_rank_law(self):
-        # q = C3 @ c.T has rank d: its factor is C3 against the residual c.
+        # q = C3 @ c.T has rank d: its pair is C3 against the residual c.
         inst, adp, Wstar = gen_instance(13, 10, 3, 1, 1.0)
         W = adapted_weight(Wstar, adp)
         f_lr = self.exact_factor(inst, W)
-        q_lr = approx_q(f_lr, inst)
-        assert q_lr.k == inst.d == 3
-        assert np.array_equal(q_lr.U, inst.C3)
+        C3_q, c = approx_q(f_lr, inst)
+        assert C3_q.shape[1] == c.shape[1] == inst.d == 3
+        assert np.array_equal(C3_q, inst.C3)
 
     def test_q_exact_with_full_rank(self):
         inst, adp, Wstar = gen_instance(13, 10, 3, 1, 1.0)
         W = adapted_weight(Wstar, adp)
-        q_lr = approx_q(self.exact_factor(inst, W), inst)
+        q = approx_q(self.exact_factor(inst, W), inst)
         C3, c = q_from_c(residual_c(inst, W), inst)
-        assert np.abs(q_lr.dense() - C3 @ c.T).max() <= 1e-10
+        assert np.abs(dense_q(q) - C3 @ c.T).max() <= 1e-10
 
     def test_q_error_bound(self):
         inst, adp, Wstar = gen_instance(13, 12, 3, 2, 1.0)
         W = adapted_weight(Wstar, adp)
         f_lr = approx_f_svd(inst, W, 4)
-        q_lr = approx_q(f_lr, inst)
-        c_err = np.abs(q_lr.V - residual_c(inst, W)).max()
+        q = approx_q(f_lr, inst)
+        c_err = np.abs(q[1] - residual_c(inst, W)).max()
         C3, c = q_from_c(residual_c(inst, W), inst)
-        lhs = np.abs(q_lr.dense() - C3 @ c.T).max()
+        lhs = np.abs(dense_q(q) - C3 @ c.T).max()
         assert lhs <= inst.d * np.abs(inst.C3).max() * c_err
 
     def test_p_factors_match_dense_split(self):
         inst, adp, Wstar = gen_instance(17, 6, 2, 1, 1.0)
         W = adapted_weight(Wstar, adp)
         f_lr = self.exact_factor(inst, W)
-        q_lr = approx_q(f_lr, inst)
+        q = approx_q(f_lr, inst)
         pm = dense_p_oracle(inst, W)
-        r = softmax_dots(q_lr.V, inst.Y)
-        assert np.abs(approx_p1(f_lr, q_lr).dense() - pm.p1).max() <= 1e-10
+        r = softmax_dots(q[1], inst.Y)
+        assert np.abs(approx_p1(f_lr, q).dense() - pm.p1).max() <= 1e-10
         assert np.abs(approx_p2(f_lr, r).dense() - pm.p2).max() <= 1e-10
 
     def test_softmax_dots_match_row_einsum(self):
@@ -424,7 +426,7 @@ class TestFactoredChain:
         c = residual_c(inst, W)
         chains = [(f, c)]
         for f_lr in (approx_f_svd(inst, W, 7), approx_f_poly(inst, W, cfg)):
-            chains.append((f_lr.dense(), approx_q(f_lr, inst).V))
+            chains.append((f_lr.dense(), approx_q(f_lr, inst)[1]))
         for f, c in chains:
             want = np.einsum("lj,lj->j", f.T, inst.C3 @ c.T)
             assert np.abs(softmax_dots(c, inst.Y) - want).max() <= 1e-12
@@ -436,10 +438,10 @@ class TestFactoredChain:
         W = adapted_weight(Wstar, adp)
         cfg = PolyApproxConfig(gamma=0.5, degree=4, eps_target=1e-3)
         for f_lr in (approx_f_svd(inst, W, 7), approx_f_poly(inst, W, cfg)):
-            q_lr = approx_q(f_lr, inst)
-            p1_lr = approx_p1(f_lr, q_lr)
+            q = approx_q(f_lr, inst)
+            p1_lr = approx_p1(f_lr, q)
             assert isinstance(p1_lr, KhatriRaoFactor)
-            p2_lr = approx_p2(f_lr, softmax_dots(q_lr.V, inst.Y))
+            p2_lr = approx_p2(f_lr, softmax_dots(q[1], inst.Y))
             for lr in (p1_lr, p2_lr):
                 want = inst.C1.T @ lr.dense().T @ inst.C2
                 got = lr.sandwich(inst.C1, inst.C2)
@@ -454,9 +456,9 @@ class TestFactoredChain:
         pm = dense_p_oracle(inst, W)
         cfg = PolyApproxConfig(gamma=0.5, degree=12, eps_target=1e-3)
         for f_lr in (approx_f_svd(inst, W, inst.L), approx_f_poly(inst, W, cfg)):
-            q_lr = approx_q(f_lr, inst)
-            p1_lr = approx_p1(f_lr, q_lr)
-            p2_lr = approx_p2(f_lr, softmax_dots(q_lr.V, inst.Y))
+            q = approx_q(f_lr, inst)
+            p1_lr = approx_p1(f_lr, q)
+            p2_lr = approx_p2(f_lr, softmax_dots(q[1], inst.Y))
             p_lr = p1_lr - p2_lr
             assert p_lr.k == f_lr.k * (inst.d + 1)
             assert np.abs(p_lr.dense() - (pm.p1 - pm.p2)).max() <= 1e-10
@@ -468,36 +470,35 @@ class TestFactoredChain:
         inst, adp, Wstar = gen_instance(17, 8, 2, 1, 1.0)
         W = adapted_weight(Wstar, adp)
         f_a, f_b = approx_f_svd(inst, W, 3), approx_f_svd(inst, W, 3)
-        q_lr = approx_q(f_a, inst)
-        r = softmax_dots(q_lr.V, inst.Y)
+        q = approx_q(f_a, inst)
+        r = softmax_dots(q[1], inst.Y)
         with pytest.raises(DimensionError):
-            approx_p1(f_a, q_lr) - approx_p2(f_b, r)
+            approx_p1(f_a, q) - approx_p2(f_b, r)
 
     def test_p1_rank_law(self):
         a = LowRankFactor(U=np.ones((4, 5)), V=np.ones((4, 5)))
-        b = LowRankFactor(U=np.ones((4, 6)), V=np.ones((4, 6)))
-        assert approx_p1(a, b).k == 30
+        q = (np.ones((4, 6)), np.ones((4, 6)))
+        assert approx_p1(a, q).k == 30
 
     def test_p2_keeps_f_rank(self):
         inst, adp, Wstar = gen_instance(17, 8, 2, 1, 1.0)
         W = adapted_weight(Wstar, adp)
         f_lr = approx_f_svd(inst, W, 3)
-        q_lr = approx_q(f_lr, inst)
-        r = softmax_dots(q_lr.V, inst.Y)
+        _, c = approx_q(f_lr, inst)
+        r = softmax_dots(c, inst.Y)
         assert approx_p2(f_lr, r).k == f_lr.k == 3
 
     def test_zero_factor_zero_products(self):
         zero = LowRankFactor(U=np.zeros((5, 2)), V=np.zeros((5, 2)))
         other = LowRankFactor(U=np.ones((5, 3)), V=np.ones((5, 3)))
-        assert np.abs(approx_p1(zero, other).dense()).max() == 0.0
+        assert np.abs(approx_p1(zero, (other.U, other.V)).dense()).max() == 0.0
         r = softmax_dots(zero.V, np.ones((5, 2)))
         assert np.abs(approx_p2(other, r).dense()).max() == 0.0
 
     def test_length_mismatch(self):
         a = LowRankFactor(U=np.ones((4, 2)), V=np.ones((4, 2)))
-        b = LowRankFactor(U=np.ones((5, 2)), V=np.ones((5, 2)))
         with pytest.raises(DimensionError):
-            approx_p1(a, b)
+            approx_p1(a, (np.ones((5, 2)), np.ones((5, 2))))
         with pytest.raises(DimensionError):
             approx_p2(a, np.ones(5))
 
@@ -563,9 +564,9 @@ class TestApproxGradients:
             exact = grad_adapters_special(inst, Wstar, adp)
             for k in (2, 4, 8):
                 f_lr = approx_f_svd(inst, W, k)
-                q_lr = approx_q(f_lr, inst)
-                p1_lr = approx_p1(f_lr, q_lr)
-                p2_lr = approx_p2(f_lr, softmax_dots(q_lr.V, inst.Y))
+                q = approx_q(f_lr, inst)
+                p1_lr = approx_p1(f_lr, q)
+                p2_lr = approx_p2(f_lr, softmax_dots(q[1], inst.Y))
                 pair = grad_from_f_factor(f_lr, inst, adp)
                 lhs = np.abs(pair.GA - exact.GA).max()
                 rhs = (

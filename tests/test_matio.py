@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lora_kernels.errors import DimensionError
+from lora_kernels.errors import DimensionError, NonFiniteError
 from lora_kernels.harness import gen_instance
 from lora_kernels.matio import (
     load_bundle,
@@ -55,6 +55,14 @@ class TestMatrixFiles:
         path.write_text("1 2\n1 inf\n")
         with pytest.raises(ValueError):
             load_matrix(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_is_not_saved(self, tmp_path, bad):
+        # A file that saves always loads: load_matrix refuses the same entries.
+        path = tmp_path / "bad.mat"
+        with pytest.raises(NonFiniteError):
+            save_matrix(path, np.array([[1.0, bad]]))
+        assert not path.exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
