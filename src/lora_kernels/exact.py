@@ -20,6 +20,11 @@ exponentiated and normalized in place into f, and p.T is written over f.
 q has rank d, so it is never built whole (attention.q_from_c): split_p
 forms each row block of q.T from the pair in one block-sized scratch
 buffer, also from instrument.empty, just before it multiplies it into f.
+S is the one buffer a warm gradient still maps afresh: at L = 2048 its
+32 MiB chunk is past the 32 MiB ceiling of glibc's dynamic mmap threshold,
+so every call mmaps it and faults it in, 17 times (huge pages) when the
+mapping lands 2 MiB-aligned and about 530 times when it does not. A
+gradient that runs in row-block passes and never forms S would remove both.
 
 The stages that make several passes over an L x L buffer (scores, softmax
 and p) walk it in row blocks of max(1, BLOCK_ELEMENTS // L) rows, about

@@ -9,8 +9,16 @@ Every large buffer is allocated by empty, which refuses one of more than
 guard_limit()**2 elements before allocating it and records the size of the
 rest; the record is how the tests prove the factored gradient path never
 materializes an L x L intermediate.
+
+One empty call is one allocation, however many buffers it returns, so
+buffers that live and die together are asked for together. This keeps
+the heap between calls: glibc serves a large request by mmap, and on
+freeing it sets its trim threshold to twice the largest mmapped chunk
+freed so far. A threshold below a call's heap peak hands the free heap
+top back to the OS on return, and the next call faults it in again.
 """
 
+import itertools
 import math
 import os
 
@@ -80,7 +88,9 @@ def empty(*shapes):
 
     All shapes are checked before any is allocated, so a SizeGuardError leaves
     none behind; an L x L buffer passes exactly when L <= guard_limit().
-    One shape gives one array, several a list in their order.
+    One shape gives one array that owns its memory. Several give a list of
+    disjoint views, in their order, of one allocation of their summed size;
+    each shape is still recorded on its own.
     """
     sizes = [math.prod(shape) for shape in shapes]
     limit = guard_limit()
@@ -93,8 +103,13 @@ def empty(*shapes):
             )
     for tally in _stack:
         tally.max_alloc = max([tally.max_alloc, *sizes])
-    bufs = [np.empty(shape) for shape in shapes]
-    return bufs if len(bufs) > 1 else bufs[0]
+    if len(shapes) == 1:
+        return np.empty(shapes[0])
+    flat = np.empty(sum(sizes))
+    starts = itertools.accumulate(sizes, initial=0)
+    return [
+        flat[i : i + n].reshape(shape) for shape, n, i in zip(shapes, sizes, starts)
+    ]
 
 
 def loglog_slope(sizes, costs):

@@ -37,7 +37,9 @@ norm threshold is refused before its L x k1 feature map exists.
 Memory order: feature_map fills a k1 x L buffer and returns its transpose,
 so U1.T and V1.T are row-major. The normalizer divides Phi1 in place, and
 every L-deep product runs as (k x L) @ (L x m) on those transposes, so each
-feature buffer is read along its rows.
+feature buffer is read along its rows. The two buffers are halves of one
+allocation (instrument.empty), so the heap a call frees stays with the
+process for the next call instead of going back to the OS.
 
 Two interchangeable sources for the f factor:
 
@@ -263,7 +265,7 @@ def select_degree(cfg, d):
     )
 
 
-def feature_map(X, g):
+def feature_map(X, g, Phi):
     """Rows of X mapped so inner products become truncated exp kernels.
 
     Column beta of the output is X^beta / sqrt(beta!) over all monomials of
@@ -273,21 +275,19 @@ def feature_map(X, g):
     variable i. The degree-t columns ending in i are then the first
     C(i+t-1, t-1) degree-(t-1) columns, each times X[:, i], so every (t, i)
     block is built from a contiguous run of parents into a contiguous slice
-    of a k1 x L buffer. The block splits into segments by the exponent m of
-    variable i in the new monomial: segment m has C(i-1+t-m, t-m) columns
-    (for i = 0, only the column x0^t, with m = t), and their parents are
-    consecutive. Appending i to a monomial that already holds it m - 1
+    of the k1 x L buffer Phi. The block splits into segments by the exponent
+    m of variable i in the new monomial: segment m has C(i-1+t-m, t-m)
+    columns (for i = 0, only the column x0^t, with m = t), and their parents
+    are consecutive. Appending i to a monomial that already holds it m - 1
     times multiplies beta! by m, so the segment's factor is X[:, i] / sqrt(m)
     and each column is scaled as it is built. The constant column is neither
-    multiplied nor scaled. The result is the buffer's transpose, an L x k1
-    view.
+    multiplied nor scaled. Phi, of shape (k1, L), is filled and its
+    transpose, an L x k1 view, returned.
     """
     X = np.asarray(X)
     L, d = X.shape
     k1 = monomial_count(d, g)
-    # step first: freed, it leaves a hole below Phi for the later temporaries;
-    # with Phi first, a call's page faults (0 or ~2,300 at L=16384) varied by run.
-    step, Phi = instrument.empty((g, d, L), (k1, L))
+    step = instrument.empty((g, d, L))
     # step[m - 1, i] = X[:, i] / sqrt(m), the factor of segment m.
     np.divide(X.T[None], np.sqrt(np.arange(1, g + 1))[:, None, None], out=step)
     Phi[0] = 1.0
@@ -315,7 +315,7 @@ def approx_f_poly(inst, W, cfg, max_rank=None):
     norm preconditions hold. Never touches an L x L array. The rows of
     C1 @ W's feature map are divided by their normalizers in place, so the
     factor's two halves are the only L x k1 buffers; both are transposes
-    of row-major k1 x L buffers.
+    of row-major k1 x L buffers, the two halves of one allocation.
 
     With max_rank given, a degree, adaptive or pinned, whose monomial count
     k1 = C(d+g, g) exceeds it raises RankInfeasibleError; that error is the
@@ -346,8 +346,9 @@ def approx_f_poly(inst, W, cfg, max_rank=None):
             f"past float64's exp({_LOG_FLOAT_MAX:.1f}); the norm bound "
             f"gamma={cfg.gamma} is too large for degree {g}"
         )
-    Phi1 = feature_map(CW, g)
-    Phi2 = feature_map(inst.C2, g)
+    buf1, buf2 = instrument.empty((k1, inst.L), (k1, inst.L))
+    Phi1 = feature_map(CW, g, buf1)
+    Phi2 = feature_map(inst.C2, g, buf2)
     col_mass = Phi2.sum(axis=0)
     norm = instrument.matmul(Phi1, col_mass)
     # NaN fails every comparison, and an overflowed feature map gives +inf

@@ -13,6 +13,7 @@ alone. The format has no field for the adapter scale: a loaded adapter has
 alpha = r, so only such adapters are saved.
 """
 
+import io
 import os
 
 import numpy as np
@@ -33,13 +34,16 @@ def save_matrix(path, M):
 def load_matrix(path):
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 2:
+        if len(header) != 2 or not all(h.isdecimal() for h in header):
             raise ValueError(f"{path}: malformed header {header!r}")
-        rows, cols = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, ndmin=2)
-    if rows == 0 or cols == 0:
-        data = np.zeros((rows, cols))
-    return as_matrix(data, str(path), (rows, cols))
+        shape = (int(header[0]), int(header[1]))
+        body = fh.read()
+    if body.strip():
+        data = np.loadtxt(io.StringIO(body), ndmin=2)
+    else:
+        # No entries: a 0-size matrix if the header says so, else a mismatch.
+        data = np.zeros(shape if 0 in shape else (0, 0))
+    return as_matrix(data, str(path), shape)
 
 
 def save_bundle(dirpath, inst, seed, gamma, Wstar=None, adapter=None):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -16,6 +21,18 @@ settings.load_profile("ci")
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def fresh_python(code):
+    """stdout of code run by a new interpreter that imports this tree's package."""
+    src = str(Path(attention.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    return out.stdout
 
 
 def dense_q(pair):

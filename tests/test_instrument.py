@@ -105,6 +105,17 @@ class TestEmpty:
         assert (a.shape, b.shape) == ((2, 3, 4), (5, 6))
         assert tally.max_alloc == 30
 
+    def test_several_shapes_are_disjoint_views_of_one_allocation(self):
+        # One allocation of the summed size, recorded per shape: max_alloc is
+        # the largest shape, not the sum.
+        with instrument.recording() as tally:
+            a, b, c = instrument.empty((2, 3, 4), (5, 6), (7,))
+        assert a.base is not None and a.base is b.base is c.base
+        assert a.base.size == 24 + 30 + 7
+        assert not any(np.shares_memory(x, y) for x, y in [(a, b), (a, c), (b, c)])
+        assert all(x.flags.c_contiguous for x in (a, b, c))
+        assert tally.max_alloc == 30
+
     def test_one_refused_shape_refuses_them_all(self, monkeypatch):
         monkeypatch.setenv(instrument.GUARD_ENV_VAR, "1024")
         tracemalloc.start()

@@ -2,14 +2,12 @@
 
 import ast
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import lora_kernels
+from conftest import fresh_python
 
 # The gradient path and what it builds on, with the package root that loads
 # before any of them; the test and tooling layers (oracle, harness, cli) may
@@ -103,21 +101,14 @@ def test_detects_a_finiteness_check(tmp_path):
 def test_gradient_path_loads_only_the_gradient_path():
     # The static check above reads each file; this one asks a fresh
     # interpreter which package modules the import really loads.
-    src = str(Path(lora_kernels.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import json, sys\n"
         "import lora_kernels.lowrank, lora_kernels.exact\n"
         "print(json.dumps(sorted(m for m in sys.modules "
         "if m.split('.')[0] == 'lora_kernels')))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
-    )
     gradient_path = ("attention", "errors", "exact", "instrument", "lowrank")
-    assert json.loads(out.stdout) == [
+    assert json.loads(fresh_python(code)) == [
         "lora_kernels",
         *(f"lora_kernels.{m}" for m in gradient_path),
     ]

@@ -2,13 +2,16 @@
 
 import dataclasses
 import itertools
+import json
 import math
+import platform
+import statistics
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import dense_q
+from conftest import dense_q, fresh_python
 from lora_kernels import instrument
 from lora_kernels.attention import (
     AttentionInstance,
@@ -151,14 +154,20 @@ class TestConfigAndDegree:
         assert f_lr.k == monomial_count(4, 3) == 35
 
 
+def phi(X, g):
+    """feature_map of X into a fresh k1 x L buffer."""
+    L, d = X.shape
+    return feature_map(X, g, np.empty((monomial_count(d, g), L)))
+
+
 class TestFeatureMap:
     def test_column_count(self, rng):
         X = rng.standard_normal((5, 3))
-        assert feature_map(X, 3).shape == (5, monomial_count(3, 3))
+        assert phi(X, 3).shape == (5, monomial_count(3, 3))
 
     def test_degree_zero_is_ones(self, rng):
         X = rng.standard_normal((4, 2))
-        assert np.array_equal(feature_map(X, 0), np.ones((4, 1)))
+        assert np.array_equal(phi(X, 0), np.ones((4, 1)))
 
     def test_truncated_kernel_identity(self, rng):
         # Inner products of feature rows must equal the degree-truncated
@@ -166,7 +175,7 @@ class TestFeatureMap:
         x = rng.uniform(-1.0, 1.0, (5, 3))
         y = rng.uniform(-1.0, 1.0, (6, 3))
         g = 4
-        K = feature_map(x, g) @ feature_map(y, g).T
+        K = phi(x, g) @ phi(y, g).T
         ref = sum(
             np.power(x @ y.T, t) / math.factorial(t) for t in range(g + 1)
         )
@@ -177,7 +186,7 @@ class TestFeatureMap:
         # vector beta; columns are matched by exponent, not by position.
         X = rng.standard_normal((40, 3))
         g = 5
-        Phi = feature_map(X, g)
+        Phi = phi(X, g)
         Xl = X.astype(np.longdouble)
         betas = [b for b in itertools.product(range(g + 1), repeat=3) if sum(b) <= g]
         want = np.stack(
@@ -292,6 +301,13 @@ class TestPolyBackend:
             tracemalloc.stop()
         assert peak < 2.75 * L * monomial_count(d, g) * 8
         assert f_lr.U.T.flags.c_contiguous and f_lr.V.T.flags.c_contiguous
+
+    def test_feature_buffers_are_one_allocation(self):
+        inst, adp, Wstar = gen_instance(0, 64, 3, 2, 0.25)
+        cfg = PolyApproxConfig(gamma=0.25, degree=2, eps_target=1e-3)
+        f_lr = approx_f_poly(inst, adapted_weight(Wstar, adp), cfg)
+        assert f_lr.U.base is not None and f_lr.U.base is f_lr.V.base
+        assert not np.shares_memory(f_lr.U, f_lr.V)
 
     def test_oversize_feature_map_refused_before_allocating(self, monkeypatch):
         # d = 8 at gamma = 0.5 needs degree 11, k1 = C(19, 11) = 75,582: a
@@ -598,6 +614,31 @@ class TestApproxGradients:
         with instrument.recording() as tally:
             approx_grad_special(inst, Wstar, adp, cfg)
         assert tally.max_alloc <= L * monomial_count(4, 3) == 17_920
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap rule")
+    def test_warm_calls_keep_their_heap(self):
+        # glibc gives the free heap top back to the OS past twice the largest
+        # mmapped chunk freed so far, and the next call faults it in again
+        # (about 2,200 minor faults at L = 16384). With the factor's halves
+        # one allocation, the threshold is above a call's heap peak. A fresh
+        # interpreter keeps other tests' allocations out of the heap's past.
+        code = (
+            "import json, resource\n"
+            "from lora_kernels.harness import gen_instance\n"
+            "from lora_kernels.lowrank import PolyApproxConfig, approx_grad_special\n"
+            "inst, adp, Wstar = gen_instance(0, 16384, 4, 2, 0.2)\n"
+            "cfg = PolyApproxConfig(gamma=0.25, degree=None, eps_target=1e-3)\n"
+            "approx_grad_special(inst, Wstar, adp, cfg)\n"
+            "faults = []\n"
+            "for _ in range(6):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    approx_grad_special(inst, Wstar, adp, cfg)\n"
+            "    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    faults.append(after - before)\n"
+            "print(json.dumps(faults))\n"
+        )
+        faults = json.loads(fresh_python(code))
+        assert statistics.median(faults) <= 100, faults
 
 
 class TestApproxGeneral:

@@ -1,6 +1,7 @@
 """Text matrix files and instance bundle directories."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,27 @@ class TestMatrixFiles:
         path = tmp_path / "bad.mat"
         path.write_text("2\n1 2\n3 4\n")
         with pytest.raises(ValueError):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("header", ["x 3", "0 -3"])
+    def test_header_not_two_sizes(self, tmp_path, header):
+        path = tmp_path / "bad.mat"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match="bad.mat: malformed header"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["0x3", "3x0"])
+    def test_empty_matrix_loads_without_warning(self, tmp_path, shape):
+        path = tmp_path / "m.mat"
+        path.write_text(f"{shape[0]} {shape[1]}\n" + "\n" * shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_matrix(path).shape == shape
+
+    def test_body_under_empty_header(self, tmp_path):
+        path = tmp_path / "bad.mat"
+        path.write_text("0 3\n1 2 3\n")
+        with pytest.raises(DimensionError, match=r"\(0, 3\).*\(1, 3\)"):
             load_matrix(path)
 
     def test_body_shape_mismatch(self, tmp_path):
