@@ -244,26 +244,20 @@ class GeneralInstance:
         return self.XQ.shape[1]
 
 
-def compose_special_constants(g, alpha, r, adapter_v=None):
+def compose_special_constants(g, alpha, r):
     """Collapse a raw instance to the query-side special case.
 
-    C1 = XQ * (alpha/r), C2 = XK @ WKstar, C3 = XV @ WV where WV is WVstar,
-    or WVstar plus the supplied value adapter's scaled update when one is
-    given. The key and value weights are frozen at these values; only the
-    query weight stays trainable through the returned instance.
+    C1 = XQ * (alpha/r), C2 = XK @ WKstar, C3 = XV @ WVstar. The key and
+    value weights are frozen at these values; only the query weight stays
+    trainable through the returned instance.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
     check_positive_finite("alpha", alpha)
-    WV = g.WVstar
-    if adapter_v is not None:
-        if adapter_v.d != g.d:
-            raise DimensionError("value adapter dimension does not match")
-        WV = WV + adapter_v.scale * adapter_v.delta()
     return AttentionInstance(
         C1=g.XQ * (alpha / r),
         C2=g.XK @ g.WKstar,
-        C3=g.XV @ WV,
+        C3=g.XV @ g.WVstar,
         Y=g.Y,
     )
 

@@ -71,7 +71,8 @@ def build_parser():
     p.add_argument(
         "--strict-rank",
         action="store_true",
-        help="cap the poly feature rank at L, failing when the degree needs more",
+        help="cap the poly feature rank at L (and at --rank when given), "
+        "failing when the degree needs more",
     )
     p.add_argument("--out", help="output directory (default: the bundle)")
 
@@ -143,8 +144,8 @@ def _cmd_approx(args):
     else:
         gamma = args.gamma if args.gamma is not None else meta[3]
         max_rank = args.rank
-        if max_rank is None and args.strict_rank:
-            max_rank = inst.L
+        if args.strict_rank:
+            max_rank = inst.L if max_rank is None else min(max_rank, inst.L)
         cfg = PolyApproxConfig(gamma=gamma, degree=None, eps_target=args.eps)
         f_lr = approx_f_poly(inst, W, cfg, max_rank=max_rank)
     pair = grad_from_f_factor(f_lr, inst, adp)

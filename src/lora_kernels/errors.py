@@ -10,7 +10,7 @@ class LoraKernelsError(Exception):
 
 
 class DimensionError(LoraKernelsError, ValueError):
-    """Operand shapes are inconsistent or would overflow a sane size budget."""
+    """Operand shapes are inconsistent."""
 
 
 class NonFiniteError(LoraKernelsError, ValueError):

@@ -32,9 +32,10 @@ and p) walk it in row blocks of max(1, BLOCK_ELEMENTS // L) rows, about
 cache. A gradient then reads or writes an L x L buffer 7 times: scores 1,
 softmax 2, residual 1, p 2 (read f, write p over it) and the sandwich 1.
 
-The general problem is two copies of the special case that share one score
-matrix (compose_general_constants). One p therefore serves both sides, and
-so does one sandwich: both weight gradients are read off G = XQ.T @ p.T @ XK.
+The two-sided problem's scores XQ @ WQ @ WK.T @ XK.T are the special
+case's scores on (C1, C2) = (XQ, XK) at the one weight W = WQ @ WK.T. So one
+special gradient G = grad_wrt_W at that W serves both sides:
+dL/dWQ = G @ WK and dL/dWK = G.T @ WQ, two d x d products.
 """
 
 from dataclasses import dataclass
@@ -43,9 +44,10 @@ import numpy as np
 
 from . import instrument
 from .attention import (
+    AttentionInstance,
+    adapted_general_weights,
     adapted_weight,
     block_rows,
-    compose_general_constants,
     forward_f,
     q_from_c,
     residual_from_f,
@@ -110,13 +112,9 @@ def compute_p(inst, W):
 
 
 def grad_wrt_W(inst, W):
-    """dL/dW as a d x d matrix, assembled as C1.T @ p.T @ C2."""
-    return _sandwich(inst.C1, compute_p(inst, W).T, inst.C2)
-
-
-def _sandwich(C1, g_rows, C2):
-    """C1.T @ g_rows @ C2 staged as (C1.T @ g_rows) @ C2."""
-    return instrument.matmul(instrument.matmul(C1.T, g_rows), C2)
+    """dL/dW as a d x d matrix, assembled as (C1.T @ p.T) @ C2."""
+    C1p = instrument.matmul(inst.C1.T, compute_p(inst, W).T)
+    return instrument.matmul(C1p, inst.C2)
 
 
 def grad_adapters_special(inst, Wstar, adp):
@@ -129,14 +127,16 @@ def grad_adapters_special(inst, Wstar, adp):
 def grad_adapters_general(g, adpQ, adpK):
     """Exact gradient pairs (Q-side, K-side) of the two-sided problem.
 
-    p is computed once on the query side and contracted once, into
-    G = XQ.T @ p.T @ XK. The scores are XQ @ WQ @ WK.T @ XK.T, so
-    dL/dWQ = G @ WK and dL/dWK = G.T @ WQ, two d x d products. Each weight
-    gradient carries its adapter's scale alpha/r.
+    The scores XQ @ WQ @ WK.T @ XK.T are the special case's on (XQ, XK) at
+    W = WQ @ WK.T, so G = grad_wrt_W there gives dL/dWQ = G @ WK and
+    dL/dWK = G.T @ WQ. Each weight gradient carries its adapter's scale
+    alpha/r.
     """
-    (inst_q, WQ), (_, WKT) = compose_general_constants(g, adpQ, adpK)
-    G = _sandwich(g.XQ, compute_p(inst_q, WQ).T, g.XK)
-    NQ = instrument.matmul(G, WKT.T)
+    WQ, WK = adapted_general_weights(g, adpQ, adpK)
+    C3 = instrument.matmul(g.XV, g.WVstar)
+    inst = AttentionInstance(C1=g.XQ, C2=g.XK, C3=C3, Y=g.Y)
+    G = grad_wrt_W(inst, instrument.matmul(WQ, WK.T))
+    NQ = instrument.matmul(G, WK)
     NK = instrument.matmul(G.T, WQ)
     return project(adpQ, adpQ.scale * NQ), project(adpK, adpK.scale * NK)
 

@@ -161,10 +161,6 @@ class KhatriRaoFactor:
             )
 
     @property
-    def L(self):
-        return self.A.shape[0]
-
-    @property
     def k(self):
         return self.A.shape[1] * self.B.shape[1]
 
@@ -228,9 +224,13 @@ class PolyApproxConfig:
         check_positive_finite("gamma", self.gamma)
         check_positive_finite("eps_target", self.eps_target)
         g = self.degree
-        integer = isinstance(g, numbers.Integral) and not isinstance(g, bool)
-        if g is not None and not (integer and g >= 0):
+        if g is not None and not (_is_integer(g) and g >= 0):
             raise ValueError(f"degree must be None or an integer >= 0, got {g!r}")
+
+
+def _is_integer(x):
+    """True for an integer of any integral type, bools excluded."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def monomial_count(d, g):
@@ -319,11 +319,11 @@ def approx_f_poly(inst, W, cfg, max_rank=None):
 
     With max_rank given, a degree, adaptive or pinned, whose monomial count
     k1 = C(d+g, g) exceeds it raises RankInfeasibleError; that error is the
-    phase-transition signal. A max_rank below 1, which no degree meets,
-    raises ValueError before the degree search.
+    phase-transition signal. A max_rank that is not an integer >= 1 (not a
+    bool) raises ValueError before the degree search.
     """
-    if max_rank is not None and max_rank < 1:
-        raise ValueError(f"max_rank must be at least 1, got {max_rank}")
+    if max_rank is not None and not (_is_integer(max_rank) and max_rank >= 1):
+        raise ValueError(f"max_rank must be an integer at least 1, got {max_rank!r}")
     d = inst.d
     W = as_matrix(W, "W", (d, d))
     CW = instrument.matmul(inst.C1, W)

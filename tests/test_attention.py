@@ -420,18 +420,6 @@ class TestComposition:
         inst = compose_special_constants(g, alpha=2.0, r=2)
         assert np.array_equal(inst.C1, g.XQ)
 
-    def test_value_adapter_folds_in(self, rng):
-        g = random_general(rng, 4, 3)
-        adp_v = LoraAdapter(
-            B=rng.standard_normal((3, 1)),
-            A=rng.standard_normal((1, 3)),
-            r=1,
-            alpha=2.0,
-        )
-        inst = compose_special_constants(g, alpha=1.0, r=1, adapter_v=adp_v)
-        WV = g.WVstar + adp_v.scale * adp_v.delta()
-        assert np.abs(inst.C3 - g.XV @ WV).max() <= 1e-14
-
     def test_special_constants_reject_bad_scale(self, rng):
         g = random_general(rng, 4, 2)
         with pytest.raises(ValueError):

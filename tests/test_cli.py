@@ -137,6 +137,20 @@ class TestApprox:
         ) == 1
         assert "exceeds the limit 8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rank, limit", [("1000", 16), ("16", 16), ("5", 5)])
+    def test_strict_rank_caps_an_explicit_rank_at_L(
+        self, tmp_path, capsys, rank, limit
+    ):
+        # The cap is min(--rank, L): --rank 1000 alone would allow rank 330.
+        out = tmp_path / "b"
+        run("gen", "--seed", "7", "--L", "16", "--d", "4", "--r", "2",
+            "--gamma", "0.5", "--out", str(out))
+        assert run(
+            "approx", "--in", str(out), "--backend", "poly", "--strict-rank",
+            "--rank", rank,
+        ) == 1
+        assert f"exceeds the limit {limit}" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_check_passes_on_seeded_bundle(self, tmp_path, capsys):
@@ -167,6 +181,16 @@ class TestTables:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "L,path,wall_ns,ops,slope"
         assert len(lines) == 5
+
+    def test_bench_reports_guard_skips_on_stderr(self, capsys, monkeypatch):
+        monkeypatch.setenv("LORA_KERNELS_GUARD_L", "48")
+        assert run(
+            "bench", "--seed", "5", "--L", "32,64", "--d", "2", "--r", "1",
+            "--repeats", "1",
+        ) == 0
+        captured = capsys.readouterr()
+        assert "skipped exact at L=64 (size guard)" in captured.err.split("\n")
+        assert captured.out.startswith("L,path,wall_ns,ops,slope")
 
     def test_bench_stdout(self, capsys):
         assert run(

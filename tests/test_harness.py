@@ -148,6 +148,14 @@ class TestSweepGamma:
         with pytest.raises(ValueError):
             sweep_gamma([], 16, 2, 1, 1e-3, seed=2)
 
+    def test_breakdown_row_records_infinite_errors(self):
+        # The degree fixed at gamma = 0.25 gives a non-positive normalizer at
+        # gamma = 4, and that row carries inf errors instead of raising.
+        result = sweep_gamma([0.25, 0.5, 1.0, 2.0, 4.0], 32, 4, 2, 1e-3, seed=0)
+        *_, f_err, grad_err, _ = result.rows[-1]
+        assert f_err == grad_err == math.inf
+        assert all(math.isfinite(row[3]) for row in result.rows[:-1])
+
     def test_cell_formatting(self):
         result = SweepResult(
             header=("a", "b", "c", "d"),

@@ -144,7 +144,7 @@ class TestClosedForms:
     def test_exact_general(self, L, d):
         g, adpQ, adpK = general_problem(2, L, d)
         want = (
-            (4 * d + 6) * L * L + (5 * d * d + 3 * d) * L + 4 * R * d * d + 2 * d**3
+            (4 * d + 6) * L * L + (3 * d * d + 3 * d) * L + 4 * R * d * d + 3 * d**3
         )
         assert madds(grad_adapters_general, g, adpQ, adpK) == want
 

@@ -333,6 +333,17 @@ class TestPolyBackend:
         with pytest.raises(RankInfeasibleError):
             approx_f_poly(inst, W, cfg, max_rank=8)
 
+    @pytest.mark.parametrize("max_rank", [math.nan, 2.5, True, 0])
+    def test_rank_ceiling_must_be_an_integer_at_least_one(self, max_rank):
+        # NaN once read as "no cap" and 2.5 as a cap; both are refused
+        # before any product of the degree search runs.
+        inst, adp, Wstar = gen_instance(2, 8, 3, 1, 0.5)
+        cfg = PolyApproxConfig(gamma=0.5, degree=None, eps_target=1e-3)
+        with instrument.recording() as tally:
+            with pytest.raises(ValueError, match="max_rank"):
+                approx_f_poly(inst, adapted_weight(Wstar, adp), cfg, max_rank=max_rank)
+        assert tally.madds == 0
+
 
 class TestSvdBackend:
     def test_full_rank_reconstruction(self):
@@ -377,6 +388,13 @@ class TestFactoredChain:
         W = adapted_weight(Wstar, adp)
         _, res = approx_q(self.exact_factor(inst, W), inst)
         assert np.abs(res - residual_c(inst, W)).max() <= 1e-10
+
+    def test_approx_q_rejects_a_factor_of_another_L(self):
+        inst8, adp, Wstar = gen_instance(13, 8, 3, 1, 1.0)
+        f_lr = self.exact_factor(inst8, adapted_weight(Wstar, adp))
+        inst6, _, _ = gen_instance(13, 6, 3, 1, 1.0)
+        with pytest.raises(DimensionError, match="factor and instance disagree on L"):
+            approx_q(f_lr, inst6)
 
     def test_residual_zero_when_target_matches(self):
         inst0, adp, Wstar = gen_instance(13, 10, 3, 1, 1.0)
@@ -528,6 +546,13 @@ class TestApproxGradients:
         exact = grad_adapters_special(inst, Wstar, adp)
         assert np.abs(pair.GA - exact.GA).max() <= 1e-8
         assert np.abs(pair.GB - exact.GB).max() <= 1e-8
+
+    def test_adapter_of_another_d_rejected(self):
+        inst, adp, Wstar = gen_instance(19, 16, 3, 2, 1.0)
+        f_lr = approx_f_svd(inst, adapted_weight(Wstar, adp), 16)
+        _, adp4, _ = gen_instance(19, 16, 4, 2, 1.0)
+        with pytest.raises(DimensionError, match="adapter dimension"):
+            grad_from_f_factor(f_lr, inst, adp4)
 
     def test_error_shrinks_with_rank(self):
         # Gradient error through a truncated-SVD factor is not entrywise
