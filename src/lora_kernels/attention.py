@@ -23,15 +23,22 @@ Orientation conventions, used consistently everywhere downstream:
 * r[j] = <f[j, :], q[:, j]> = <c[j, :] + Y[j, :], c[j, :]> is the
   softmax-Jacobian row dot (softmax_dots).
 
-Only S is allocated by instrument.empty; softmax_rows turns S into f in
-place.
+Buffers come from instrument.empty: S, which softmax_rows turns into f in
+place, and the L x m output of each thin product F @ M (thin_product:
+f @ C3 here, p.T @ C2 in exact.grad_wrt_W).
 
 Row blocks: the L x L passes walk their buffer in blocks of
 max(1, BLOCK_ELEMENTS // L) rows, about 512 KiB of float64, and finish
 each block before touching the next, so the block is still in cache for
 its later steps. _score_matrix writes a block of S and reads its max and
-min, one pass over S; softmax_rows shifts, exponentiates and normalizes
-a block, two passes (read S, write f).
+min, one pass over S; softmax_rows exponentiates and normalizes a block,
+two passes (read S, write f); thin_product reads F once, one block-sized
+product at a time. The thin right operand of the score product is made
+contiguous once, before the block loop.
+
+Shift rule: softmax_rows reads each block's row maxima and subtracts them
+only when one lies outside +-SHIFT_FREE, where exp could overflow a row
+sum or leave it subnormal. A block with a NaN max is shifted too.
 """
 
 from dataclasses import dataclass
@@ -49,6 +56,11 @@ from .errors import (
 
 # Largest |score| exp can take in float64 before overflowing to inf.
 SCORE_LIMIT = 709.78
+
+# Row maxima in [-SHIFT_FREE, SHIFT_FREE] need no shift: a row sum then lies
+# in [e^-512, L e^512], which is normal (e^-512 ~ 4e-223) and, at the guard's
+# L = 2^14, below 1e227, far from float64's maximum of 1.8e308.
+SHIFT_FREE = 512.0
 
 # Entries per row block of an L x L pass: 64Ki float64, 512 KiB.
 BLOCK_ELEMENTS = 2**16
@@ -134,9 +146,10 @@ def _score_matrix(left, right):
     builds no |S| array. NaN fails the final comparison, so it is refused too.
     """
     S = instrument.empty((left.shape[0], right.shape[0]))
+    right_T = np.ascontiguousarray(right.T)
     extremes = [0.0]
     for blk in row_blocks(*S.shape):
-        S_blk = instrument.matmul(left[blk], right.T, out=S[blk])
+        S_blk = instrument.matmul(left[blk], right_T, out=S[blk])
         extremes += S_blk.max(), -S_blk.min()
     max_abs = float(np.max(extremes))
     if not max_abs <= SCORE_LIMIT:
@@ -153,15 +166,21 @@ def scores(inst, W):
 def softmax_rows(S):
     """Row-stochastic matrix from raw float scores, built in place in S.
 
-    Each row block is shifted by its row maxima, exponentiated and
-    normalized before the next one is read. Returns S, now holding f.
+    Each row block is exponentiated and normalized before the next one is
+    read. It is first shifted by its row maxima only when one of them lies
+    outside +-SHIFT_FREE (or is NaN), so the charge is 3 per entry plus 1
+    per entry of each shifted block. Returns S, now holding f.
     """
+    shifted = 0
     for blk in row_blocks(*S.shape):
         f = S[blk]
-        f -= f.max(axis=1, keepdims=True)
+        row_max = f.max(axis=1, keepdims=True)
+        if not np.abs(row_max).max() <= SHIFT_FREE:
+            f -= row_max
+            shifted += f.size
         np.exp(f, out=f)
         f *= 1.0 / f.sum(axis=1, keepdims=True)
-    instrument.count(4 * S.size)
+    instrument.count(3 * S.size + shifted)
     return S
 
 
@@ -170,15 +189,29 @@ def forward_f(inst, W):
     return softmax_rows(scores(inst, W))
 
 
+def thin_product(F, M):
+    """F @ M for an L x L buffer F and a thin M, one row block of F at a time.
+
+    Each block's product is written into its rows of one L x m buffer from
+    instrument.empty; the charge is the whole product's. At L = 2048, m = 4
+    and one BLAS thread, the whole product ran at 2.3 G multiply-adds/s and
+    the block-sized ones at 4.8.
+    """
+    out = instrument.empty((F.shape[0], M.shape[1]))
+    for blk in row_blocks(*F.shape):
+        instrument.matmul(F[blk], M, out=out[blk])
+    return out
+
+
 def forward_output(inst, W):
     """Attention output f(W) @ C3, shape L x d."""
-    f = forward_f(inst, W)
-    return instrument.matmul(f, inst.C3)
+    return thin_product(forward_f(inst, W), inst.C3)
 
 
 def residual_from_f(f, inst):
     """c = f @ C3 - Y for an already computed attention matrix."""
-    c = instrument.matmul(f, inst.C3) - inst.Y
+    c = thin_product(f, inst.C3)
+    c -= inst.Y
     instrument.count(c.size)
     return c
 

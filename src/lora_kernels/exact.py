@@ -9,7 +9,7 @@ is compared. The stages are
     q = C3 @ c.T                              held as its rank-d pair (C3, c)
     r_j = <f_j, q_j> = <c_j + Y_j, c_j>       row dots, O(L d) from c
     p[:, j] = f_j * (q_j - r_j)               softmax-Jacobian action
-    dL/dW = C1.T @ p.T @ C2                   weight gradient
+    dL/dW = C1.T @ (p.T @ C2)                 weight gradient
 
 with the adapter gradients read off as dL/dA = B.T @ dL/dW and
 dL/dB = dL/dW @ A.T. p stores column j against softmax row j, so the matrix
@@ -26,11 +26,17 @@ so every call mmaps it and faults it in, 17 times (huge pages) when the
 mapping lands 2 MiB-aligned and about 530 times when it does not. A
 gradient that runs in row-block passes and never forms S would remove both.
 
-The stages that make several passes over an L x L buffer (scores, softmax
-and p) walk it in row blocks of max(1, BLOCK_ELEMENTS // L) rows, about
-512 KiB (attention.row_blocks), and finish each block while it is in
-cache. A gradient then reads or writes an L x L buffer 7 times: scores 1,
-softmax 2, residual 1, p 2 (read f, write p over it) and the sandwich 1.
+Every pass over the L x L buffer walks it in row blocks of
+max(1, BLOCK_ELEMENTS // L) rows, about 512 KiB (attention.row_blocks).
+The stages that make several passes (scores, softmax and p) finish each
+block while it is in cache. The two thin products over the buffer, the
+residual's f @ C3 and the sandwich's p.T @ C2, run one block-sized product
+per block (attention.thin_product). The score and q.T blocks multiply by
+a d x L transpose made contiguous once, before the block loop. The softmax
+subtracts a block's row maxima only when one lies outside +-SHIFT_FREE
+(attention.softmax_rows). A gradient reads or writes an L x L buffer 7
+times: scores 1, softmax 2, residual 1, p 2 (read f, write p over it) and
+the sandwich 1.
 
 The two-sided problem's scores XQ @ WQ @ WK.T @ XK.T are the special
 case's scores on (C1, C2) = (XQ, XK) at the one weight W = WQ @ WK.T. So one
@@ -53,6 +59,7 @@ from .attention import (
     residual_from_f,
     row_blocks,
     softmax_dots,
+    thin_product,
 )
 from .errors import DimensionError
 
@@ -94,9 +101,10 @@ def split_p(f, q, r):
     if r.shape != (L,):
         raise DimensionError(f"r must have shape {(L,)}, got {r.shape}")
     q_rows = instrument.empty((min(L, block_rows(L)), L))
+    C3_T = np.ascontiguousarray(C3.T)
     for blk in row_blocks(L, L):
         c_blk = c[blk]
-        q_blk = instrument.matmul(c_blk, C3.T, out=q_rows[: len(c_blk)])
+        q_blk = instrument.matmul(c_blk, C3_T, out=q_rows[: len(c_blk)])
         q_blk -= r[blk, None]
         f[blk] *= q_blk
     instrument.count(2 * f.size)
@@ -112,9 +120,13 @@ def compute_p(inst, W):
 
 
 def grad_wrt_W(inst, W):
-    """dL/dW as a d x d matrix, assembled as (C1.T @ p.T) @ C2."""
-    C1p = instrument.matmul(inst.C1.T, compute_p(inst, W).T)
-    return instrument.matmul(C1p, inst.C2)
+    """dL/dW as a d x d matrix, assembled as C1.T @ (p.T @ C2).
+
+    p.T @ C2 is a thin product over the p.T buffer (attention.thin_product),
+    with the multiply-adds of (C1.T @ p.T) @ C2.
+    """
+    pC2 = thin_product(compute_p(inst, W).T, inst.C2)
+    return instrument.matmul(inst.C1.T, pC2)
 
 
 def grad_adapters_special(inst, Wstar, adp):

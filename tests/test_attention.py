@@ -12,6 +12,7 @@ from conftest import BLOCK_ROWS, dense_q
 from lora_kernels import instrument
 from lora_kernels.attention import (
     BLOCK_ELEMENTS,
+    SHIFT_FREE,
     AttentionInstance,
     GeneralInstance,
     LoraAdapter,
@@ -25,6 +26,7 @@ from lora_kernels.attention import (
     loss,
     q_from_c,
     residual_c,
+    residual_from_f,
     row_blocks,
     scores,
     softmax_rows,
@@ -46,6 +48,18 @@ def random_instance(rng, L, d, scale=1.0):
         C3=rng.standard_normal((L, d)),
         Y=rng.standard_normal((L, d)),
     )
+
+
+def unshifted_softmax(S):
+    f = np.exp(S)
+    f *= 1.0 / f.sum(axis=1, keepdims=True)
+    return f
+
+
+def shifted_softmax(S):
+    f = np.exp(S - S.max(axis=1, keepdims=True))
+    f *= 1.0 / f.sum(axis=1, keepdims=True)
+    return f
 
 
 def random_general(rng, L, d):
@@ -205,12 +219,26 @@ class TestForward:
 
     def test_softmax_out_ownership(self, rng):
         # The rows are built in the score buffer itself, which is returned,
-        # with the arithmetic of the unblocked formula on a copy.
+        # with the arithmetic of the unblocked formula on a copy. Every row
+        # max is inside the bound, so no row is shifted.
         S = rng.standard_normal((5, 5))
-        want = np.exp(S - S.max(axis=1, keepdims=True))
-        want *= 1.0 / want.sum(axis=1, keepdims=True)
-        assert softmax_rows(S) is S
+        want = unshifted_softmax(S)
+        with instrument.recording() as tally:
+            assert softmax_rows(S) is S
         assert np.array_equal(S, want)
+        assert tally.madds == 3 * S.size
+
+    @pytest.mark.parametrize("offset", [SHIFT_FREE + 50.0, -SHIFT_FREE - 50.0, np.nan])
+    def test_softmax_shifts_rows_past_the_bound(self, rng, offset):
+        # One row max past +-SHIFT_FREE, or NaN, shifts every row by its max,
+        # bit for bit the shifted formula, and charges the subtraction.
+        S = rng.standard_normal((5, 5))
+        S[2] += offset
+        want = shifted_softmax(S)
+        with instrument.recording() as tally:
+            softmax_rows(S)
+        assert np.array_equal(S, want, equal_nan=True)
+        assert tally.madds == 4 * S.size
 
     def test_negative_score_overflow_raises(self):
         # Every score is -900, so only the -S.min() side of the check sees it.
@@ -268,11 +296,41 @@ class TestRowBlocks:
         want = (inst.C1 @ W) @ inst.C2.T
         assert np.abs(scores(inst, W) - want).max() <= 1e-15 * np.abs(want).max()
 
+    def test_thin_products_match_one_product(self, rng, blocked_L):
+        # f @ C3 runs as one product per row block. A block and the whole
+        # product may round differently (BLAS picks its kernel by shape), so
+        # each side is within L ulps of the exact dot product, and the
+        # residual's subtraction adds one more.
+        L, d = blocked_L, 3
+        inst = random_instance(rng, L, d)
+        W = rng.standard_normal((d, d))
+        f = forward_f(inst, W)
+        scale = np.abs(f) @ np.abs(inst.C3) + np.abs(inst.Y)
+        rounding = 2 * (L + 1) * np.finfo(float).eps * scale
+        assert np.all(np.abs(forward_output(inst, W) - f @ inst.C3) <= rounding)
+        c = residual_from_f(f, inst)
+        assert np.all(np.abs(c - (f @ inst.C3 - inst.Y)) <= rounding)
+
     def test_softmax_matches_unblocked_formula(self, rng, blocked_L):
         S = 3.0 * rng.standard_normal((blocked_L, blocked_L))
-        want = np.exp(S - S.max(axis=1, keepdims=True))
-        want *= 1.0 / want.sum(axis=1, keepdims=True)
-        assert np.array_equal(softmax_rows(S), want)
+        want = unshifted_softmax(S)
+        with instrument.recording() as tally:
+            assert np.array_equal(softmax_rows(S), want)
+        assert tally.madds == 3 * S.size
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_only_the_block_past_the_bound_is_shifted(self, rng, blocked_L, sign):
+        # The last row's max lies past the bound, so its block is shifted,
+        # and charged for it, while every other block is not.
+        S = 3.0 * rng.standard_normal((blocked_L, blocked_L))
+        S[-1] += sign * (SHIFT_FREE + 50.0)
+        *inside, last = row_blocks(*S.shape)
+        want = np.vstack(
+            [unshifted_softmax(S[blk]) for blk in inside] + [shifted_softmax(S[last])]
+        )
+        with instrument.recording() as tally:
+            assert np.array_equal(softmax_rows(S), want)
+        assert tally.madds == 3 * S.size + S[last].size
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflow_in_the_last_block_only(self, blocked_L, sign):

@@ -161,8 +161,9 @@ class TestRowBlocks:
         f = forward_f(inst, rng.standard_normal((d, d)))
         c = f @ inst.C3 - inst.Y
         r = softmax_dots(c, inst.Y)
+        C3_T = np.ascontiguousarray(inst.C3.T)
         want = np.vstack(
-            [(c[blk] @ inst.C3.T - r[blk, None]) * f[blk] for blk in row_blocks(*f.shape)]
+            [(c[blk] @ C3_T - r[blk, None]) * f[blk] for blk in row_blocks(*f.shape)]
         ).T
         dense = (inst.C3 @ c.T - r) * f.T
         scale = (np.abs(inst.C3) @ np.abs(c).T + np.abs(r)).max()
@@ -170,6 +171,19 @@ class TestRowBlocks:
         p = split_p(f, q_from_c(c, inst), r)
         assert np.array_equal(p, want)
         assert np.abs(p - dense).max() <= rounding
+
+    def test_gradient_matches_unblocked_sandwich(self, rng, blocked_L):
+        # p.T @ C2 runs as one product per row block, then C1.T multiplies
+        # it. Against the whole products in the other order, (C1.T @ p.T) @
+        # C2, each side is within L + d ulps of the exact sum of products.
+        L, d = blocked_L, 3
+        inst = random_instance(rng, L, d)
+        W = rng.standard_normal((d, d))
+        p = compute_p(inst, W)
+        dense = (inst.C1.T @ p.T) @ inst.C2
+        scale = (np.abs(inst.C1.T) @ np.abs(p.T)) @ np.abs(inst.C2)
+        rounding = 2 * (L + d) * np.finfo(float).eps * scale
+        assert np.all(np.abs(grad_wrt_W(inst, W) - dense) <= rounding)
 
     # At L = 1024 a block is 64 rows. A block loop that slips in an L x L
     # temporary breaks these bounds.

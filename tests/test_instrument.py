@@ -1,6 +1,7 @@
 """The cost and allocation rules: products charge from their operands, each
 path's closed form, and buffers refused past the guard or recorded."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -9,6 +10,8 @@ import pytest
 
 from lora_kernels import instrument
 from lora_kernels.attention import (
+    SCORE_LIMIT,
+    SHIFT_FREE,
     GeneralInstance,
     LoraAdapter,
     adapted_weight,
@@ -134,9 +137,22 @@ class TestEmpty:
 class TestClosedForms:
     # A product that drops out of a path's count fails these equalities.
 
+    # Scores inside +-SHIFT_FREE skip the softmax shift: (4d + 5) L^2.
     @pytest.mark.parametrize("L, d", SIZES)
     def test_exact_special(self, L, d):
         inst, adp, Wstar = gen_instance(1, L, d, R, 0.5)
+        want = (4 * d + 5) * L * L + (2 * d * d + 3 * d) * L + 2 * R * d * d
+        assert madds(grad_adapters_special, inst, Wstar, adp) == want
+
+    @pytest.mark.parametrize("L, d", SIZES)
+    def test_exact_special_past_the_shift_bound(self, L, d):
+        # C1 rescaled so the largest score lies between SHIFT_FREE and
+        # SCORE_LIMIT: the one row block is shifted, one more per entry.
+        inst, adp, Wstar = gen_instance(1, L, d, R, 0.5)
+        S = (inst.C1 @ adapted_weight(Wstar, adp)) @ inst.C2.T
+        top = S.flat[np.abs(S).argmax()]
+        target = (SHIFT_FREE + SCORE_LIMIT) / 2
+        inst = dataclasses.replace(inst, C1=inst.C1 * (target / top))
         want = (4 * d + 6) * L * L + (2 * d * d + 3 * d) * L + 2 * R * d * d
         assert madds(grad_adapters_special, inst, Wstar, adp) == want
 
@@ -144,7 +160,7 @@ class TestClosedForms:
     def test_exact_general(self, L, d):
         g, adpQ, adpK = general_problem(2, L, d)
         want = (
-            (4 * d + 6) * L * L + (3 * d * d + 3 * d) * L + 4 * R * d * d + 3 * d**3
+            (4 * d + 5) * L * L + (3 * d * d + 3 * d) * L + 4 * R * d * d + 3 * d**3
         )
         assert madds(grad_adapters_general, g, adpQ, adpK) == want
 
