@@ -229,8 +229,14 @@ def softmax_dots(c, Y):
     """Softmax-Jacobian row dots r_j = <f_j, q_j> = <c_j + Y_j, c_j>, O(L d).
 
     With q = C3 @ c.T, <f_j, q_j> = <(f @ C3)_j, c_j> for any f, factored too.
+    The sum runs down the d x L transposes, so numpy walks the temporaries in
+    c's own memory order, whether c is row-major (the exact path's) or the
+    transpose of a d x L buffer (lowrank.approx_q's). Summed along rows, a
+    transposed c is read strided: 0.64 against 0.13 ms at L = 16384, d = 4
+    on one core.
     """
-    r = ((c + Y) * c).sum(axis=1)
+    cT = c.T
+    r = ((cT + Y.T) * cT).sum(axis=0)
     instrument.count(2 * c.size)
     return r
 

@@ -27,7 +27,7 @@ A[:, s] * B[:, t] elementwise. It satisfies the identity
 * p = p1 - p2 is one KhatriRaoFactor, since both terms share V1 and U1:
   (V1 ck [C3 | 1]) @ (U1 ck [c | -r]).T, of rank k1 * (d + 1). Its
   sandwich C1.T @ p.T @ C2 is contracted from the thin factors directly:
-  two L-deep products of size d (d + 1) x k1 and one d x d contraction,
+  two L-deep products of size k1 x d (d + 1) and one d x d contraction,
   so each of U1 and V1 is read once. Only dense(), which is test support,
   builds the halves.
 
@@ -39,7 +39,13 @@ so U1.T and V1.T are row-major. The normalizer divides Phi1 in place, and
 every L-deep product runs as (k x L) @ (L x m) on those transposes, so each
 feature buffer is read along its rows. The two buffers are halves of one
 allocation (instrument.empty), so the heap a call frees stays with the
-process for the next call instead of going back to the OS.
+process for the next call instead of going back to the OS. approx_q writes
+c into a d x L buffer and subtracts Y there, and softmax_dots sums down
+that buffer's rows, so c is never read strided. The sandwich walks row
+blocks of about 512 KiB (attention.block_rows; at d = 4, 3276 rows): each
+block's Khatri-Rao operand is built in one reused block buffer and
+contracted while it is in cache, so no L x d (d + 1) operand exists; past
+the factor, a call holds O(L d) floats and one block.
 
 Two interchangeable sources for the f factor:
 
@@ -63,6 +69,7 @@ import numpy as np
 from . import instrument
 from .attention import (
     adapted_weight,
+    block_rows,
     compose_general_constants,
     softmax_dots,
 )
@@ -84,6 +91,12 @@ _DEGREE_CEILING = 10_000
 
 # log of the largest finite float64.
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+
+# Fewest rows in a sandwich block. A block of n rows adds its kA x d kB
+# product into an accumulator, 1/n of the product's own multiply-adds, and
+# pays numpy's per-call overhead; at d = 256, blocks of BLOCK_ELEMENTS
+# entries would be one row each.
+_MIN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -118,7 +131,12 @@ class LowRankFactor:
 
 
 def colwise_kronecker(A, B):
-    """All-pairs columnwise product: column s*k2 + t is A[:, s] * B[:, t]."""
+    """All-pairs columnwise product: column s*k2 + t is A[:, s] * B[:, t].
+
+    Builds the whole L x k1 k2 product, so it serves only
+    KhatriRaoFactor.dense(), which is test support; the sandwich builds the
+    product one row block at a time.
+    """
     A = np.asarray(A)
     B = np.asarray(B)
     if A.ndim != 2 or B.ndim != 2 or A.shape[0] != B.shape[0]:
@@ -191,20 +209,40 @@ class KhatriRaoFactor:
     def sandwich(self, C1, C2):
         """C1.T @ M.T @ C2 without forming either L x k half.
 
-        Entry (a, b) is sum over s < kA, t < kB of X[a, t, s] * Z[b, t, s]
-        with X[a, t, s] = sum_l C1[l, a] D[l, t] C[l, s], the rows of
-        (C1 ck D).T @ C, and Z[b, t, s] = sum_l C2[l, b] B[l, t] A[l, s],
-        the rows of (C2 ck B).T @ A. Both are L-deep products of size
-        (d * kB) x kA; the d x d contraction over (t, s) finishes it.
-        The L-deep products run as C.T @ (C1 ck D) and A.T @ (C2 ck B):
-        the feature maps' transposes are row-major, so both operands are
-        read in memory order.
+        Entry (a, b) is sum over s < kA, t < kB of X[s, a, t] * Z[s, b, t]
+        with X[s, a, t] = sum_l C[l, s] C1[l, a] D[l, t], the rows of
+        C.T @ (C1 ck D), and Z[s, b, t] = sum_l A[l, s] C2[l, b] B[l, t],
+        the rows of A.T @ (C2 ck B). Both are L-deep products of size
+        kA x (d * kB); the d x d contraction over (t, s) finishes it.
+
+        Neither L x d kB Khatri-Rao operand is formed. The L-deep products
+        walk blocks of block_rows(d * kB) rows, at least _MIN_BLOCK_ROWS:
+        each block's (C1 ck D).T, rows (a, t), is one broadcast multiply of
+        the block's transposed views into one reused d x kB x n buffer, and
+        its product with the block's columns of C.T, which is row-major, is
+        added into a kA x d kB accumulator; Z likewise from (C2, B, A). The
+        block buffer stays in cache between its write and its read, and the
+        charge is the unblocked one.
         """
-        X = instrument.matmul(self.C.T, colwise_kronecker(C1, self.D)).T
-        Z = instrument.matmul(self.A.T, colwise_kronecker(C2, self.B)).T
-        return instrument.matmul(
-            X.reshape(C1.shape[1], -1), Z.reshape(C2.shape[1], -1).T
+        L, d = C1.shape
+        kA, kB = self.A.shape[1], self.B.shape[1]
+        step = max(block_rows(d * kB), _MIN_BLOCK_ROWS)
+        buf, X, Z = instrument.empty(
+            (d, kB, min(step, L)), (kA, d * kB), (kA, d * kB)
         )
+        X.fill(0.0)
+        Z.fill(0.0)
+        for start in range(0, L, step):
+            blk = slice(start, start + step)
+            kr = buf[:, :, : min(step, L - start)]
+            for acc, left, right, feat in (
+                (X, C1, self.D, self.C),
+                (Z, C2, self.B, self.A),
+            ):
+                np.multiply(left[blk].T[:, None, :], right[blk].T[None, :, :], out=kr)
+                instrument.count(kr.size)
+                acc += instrument.matmul(feat.T[:, blk], kr.reshape(d * kB, -1).T)
+        return instrument.matmul(X.T.reshape(d, -1), Z.T.reshape(d, -1).T)
 
 
 @dataclass(frozen=True)
@@ -374,10 +412,10 @@ def approx_q(f_lr, inst):
     if f_lr.L != inst.L:
         raise DimensionError("factor and instance disagree on L")
     M = instrument.matmul(f_lr.V.T, inst.C3, out=instrument.empty((f_lr.k, inst.d)))
-    c = instrument.matmul(M.T, f_lr.U.T, out=instrument.empty((inst.d, inst.L))).T
-    c -= inst.Y
-    instrument.count(c.size)
-    return inst.C3, c
+    cT = instrument.matmul(M.T, f_lr.U.T, out=instrument.empty((inst.d, inst.L)))
+    cT -= inst.Y.T
+    instrument.count(cT.size)
+    return inst.C3, cT.T
 
 
 def approx_p1(f_lr, q):

@@ -11,8 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_q, fresh_python
-from lora_kernels import instrument
+from conftest import BLOCK_ROWS, dense_q, fresh_python
+from lora_kernels import attention, instrument, lowrank
 from lora_kernels.attention import (
     AttentionInstance,
     GeneralInstance,
@@ -456,14 +456,20 @@ class TestFactoredChain:
         inst, adp, Wstar = gen_instance(31, 24, 3, 2, 0.5)
         W = adapted_weight(Wstar, adp)
         cfg = PolyApproxConfig(gamma=0.5, degree=4, eps_target=1e-3)
+        # The exact path's c is row-major and approx_q's is the transpose of
+        # a d x L buffer; r must be right in either layout.
         f = forward_f(inst, W)
         c = residual_c(inst, W)
+        assert c.flags.c_contiguous
         chains = [(f, c)]
         for f_lr in (approx_f_svd(inst, W, 7), approx_f_poly(inst, W, cfg)):
-            chains.append((f_lr.dense(), approx_q(f_lr, inst)[1]))
+            c = approx_q(f_lr, inst)[1]
+            assert c.T.flags.c_contiguous
+            chains.append((f_lr.dense(), c))
         for f, c in chains:
             want = np.einsum("lj,lj->j", f.T, inst.C3 @ c.T)
-            assert np.abs(softmax_dots(c, inst.Y) - want).max() <= 1e-12
+            for layout in (np.ascontiguousarray(c), np.ascontiguousarray(c.T).T):
+                assert np.abs(softmax_dots(layout, inst.Y) - want).max() <= 1e-12
 
     def test_sandwich_matches_dense(self):
         # Both factor kinds must contract to C1.T @ dense().T @ C2, for the
@@ -480,6 +486,47 @@ class TestFactoredChain:
                 want = inst.C1.T @ lr.dense().T @ inst.C2
                 got = lr.sandwich(inst.C1, inst.C2)
                 assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("L", (1, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5))
+    def test_sandwich_row_blocks_match_dense(self, rng, monkeypatch, L):
+        # The sandwich walks blocks of BLOCK_ROWS rows here, the last ragged.
+        # Blocked, it must still give C1.T @ dense().T @ C2 and charge the
+        # unblocked cost: each L x d kB Khatri-Rao operand, each kA x L by
+        # L x d kB product, and the d x d contraction over kA kB.
+        d, kA, kB = 3, 5, 4
+        monkeypatch.setattr(attention, "BLOCK_ELEMENTS", BLOCK_ROWS * d * kB)
+        monkeypatch.setattr(lowrank, "_MIN_BLOCK_ROWS", 1)
+        A, C = rng.standard_normal((2, L, kA))
+        B, D = rng.standard_normal((2, L, kB))
+        C1, C2 = rng.standard_normal((2, L, d))
+        M = KhatriRaoFactor(A=A, B=B, C=C, D=D)
+        with instrument.recording() as tally:
+            got = M.sandwich(C1, C2)
+        assert np.abs(got - C1.T @ M.dense().T @ C2).max() <= 1e-12
+        assert tally.madds == 2 * L * d * kB + 2 * kA * L * d * kB + d * d * kA * kB
+
+    def test_wide_sandwich_rows_keep_tall_blocks(self, rng, monkeypatch):
+        # At d = 32 a BLOCK_ELEMENTS block holds 62 rows of (C1 ck D).T; the
+        # sandwich still takes _MIN_BLOCK_ROWS rows a block, so L = 600 is
+        # three blocks: two products each, and the final contraction.
+        L, d, kA = 600, 32, 2
+        A, C = rng.standard_normal((2, L, kA))
+        B, D = rng.standard_normal((2, L, d + 1))
+        C1, C2 = rng.standard_normal((2, L, d))
+        M = KhatriRaoFactor(A=A, B=B, C=C, D=D)
+        calls = []
+        matmul = instrument.matmul
+
+        def spy(a, b, out=None):
+            calls.append(a.shape)
+            return matmul(a, b, out)
+
+        monkeypatch.setattr(instrument, "matmul", spy)
+        got = M.sandwich(C1, C2)
+        blocks = [(kA, 256)] * 4 + [(kA, 88)] * 2
+        assert calls == blocks + [(d, (d + 1) * kA)]
+        want = C1.T @ M.dense().T @ C2
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_fused_p_matches_dense_split(self):
         # p1 - p2 is one factor (V1 ck [C3 | 1]) @ (U1 ck [c | -r]).T of
@@ -629,6 +676,26 @@ class TestApproxGradients:
         with instrument.recording() as tally:
             approx_grad_special(inst, Wstar, adp, cfg)
         assert tally.max_alloc <= max(64 * k3, 64 * 4)
+
+    def test_peak_is_the_factor_and_thin_buffers(self):
+        # Past the factor's 2 k1 L floats, a call holds O(L d) floats and one
+        # sandwich block. The O(L d) floats are c's d x L buffer, r, and the
+        # fused p factor's L x (d + 1) columns [C3 | 1] and [c | -r], in all
+        # 3 (d + 1) L, allowed 4 (d + 1) L; the block is BLOCK_ELEMENTS
+        # floats. A whole L x d (d + 1) Khatri-Rao operand, 20 L floats
+        # here, does not fit in what is left.
+        L, d, g = 16384, 4, 3
+        k1 = monomial_count(d, g)
+        inst, adp, Wstar = gen_instance(0, L, d, 2, 0.25)
+        cfg = PolyApproxConfig(gamma=0.25, degree=g, eps_target=1e-3)
+        tracemalloc.start()
+        try:
+            approx_grad_special(inst, Wstar, adp, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        floats = 2 * k1 * L + 4 * (d + 1) * L + attention.BLOCK_ELEMENTS
+        assert peak <= 8 * floats
 
     def test_registered_peak_is_one_feature_map(self):
         # p1 is contracted in place, so nothing larger than one L x k1
