@@ -23,22 +23,44 @@ Orientation conventions, used consistently everywhere downstream:
 * r[j] = <f[j, :], q[:, j]> = <c[j, :] + Y[j, :], c[j, :]> is the
   softmax-Jacobian row dot (softmax_dots).
 
-Buffers come from instrument.empty: S, which softmax_rows turns into f in
-place, and the L x m output of each thin product F @ M (thin_product:
-f @ C3 here, p.T @ C2 in exact.grad_wrt_W).
+Buffers come from instrument.empty: S, which softmax_rows exponentiates in
+place, its row sums z, and the L x m output of each thin product F @ M
+(thin_product: E @ C3 here, p.T @ C2 in exact.grad_wrt_W).
+
+f is held as the pair (E, z): E = exp(S), shifted per row block where
+needed, and z = E's row sums, so f = E / z[:, None]. A product f @ M is
+E @ M with its rows divided by z on the thin L x m result (residual_from_f),
+not on the L^2 entries of E. A division rounds once where a product with a
+rounded 1/z rounds twice. forward_f writes the dense row-stochastic f over
+E, one more pass, for the oracle and loss callers.
 
 Row blocks: the L x L passes walk their buffer in blocks of
 max(1, BLOCK_ELEMENTS // L) rows, about 512 KiB of float64, and finish
 each block before touching the next, so the block is still in cache for
-its later steps. _score_matrix writes a block of S and reads its max and
-min, one pass over S; softmax_rows exponentiates and normalizes a block,
-two passes (read S, write f); thin_product reads F once, one block-sized
-product at a time. The thin right operand of the score product is made
-contiguous once, before the block loop.
+its later steps. score_matrix writes S, one pass, and reads each block's
+max and min while it is in cache only when it must measure the bound (see
+below); softmax_rows exponentiates a block and sums its rows, one pass that
+reads and writes S; thin_product reads F once, one block-sized product at a
+time. The thin right operand of the score product is made contiguous once,
+before the block loop.
 
-Shift rule: softmax_rows reads each block's row maxima and subtracts them
-only when one lies outside +-SHIFT_FREE, where exp could overflow a row
-sum or leave it subnormal. A block with a NaN max is shifted too.
+Score bound: score_radius(left, right) = max_i ||left_i|| * max_j ||right_j||
+bounds |S| by Cauchy-Schwarz at O(L d). Rounding does not break it: a
+computed dot product exceeds the exact one by at most d*u*||a||*||b||, and
+the computed norms and their product fall short by at most (d + 3)*u, so a
+computed |s| <= R * (1 + (2d + 3)*u) to first order in the unit roundoff u.
+score_radius rounds R up by 2*(d + 2)*eps = (4d + 8)*u, which covers this,
+so the R it returns bounds the computed scores. When R <= SHIFT_FREE,
+score_matrix reports R as the bound and reads nothing back; otherwise (or
+when R is inf or NaN, after an overflowed norm) it measures max |S| on the
+blocks and refuses a measured value past SCORE_LIMIT, NaN included.
+
+Shift rule: softmax_rows reads row maxima only when the bound it is given
+is past SHIFT_FREE (or NaN). It then subtracts a block's row maxima only
+when one of them lies outside +-SHIFT_FREE, where exp could overflow a row
+sum or leave it subnormal; a block with a NaN max is shifted too. With
+the margin inside R, a bound R <= SHIFT_FREE puts every computed score
+within +-SHIFT_FREE, so no block would have been shifted.
 """
 
 from dataclasses import dataclass
@@ -138,55 +160,95 @@ def adapted_weight(Wstar, adp):
     return (adp.r / adp.alpha) * Wstar + adp.B @ adp.A
 
 
-def _score_matrix(left, right):
-    """S = left @ right.T, refused past the size guard or outside exp's range.
+def score_radius(left, right):
+    """Certified bound R >= |left @ right.T| from Cauchy-Schwarz, at O(L d).
 
-    Each row block of S is written, then its max and min are read while it
-    is in cache, so the range check makes no pass of its own over S and
-    builds no |S| array. NaN fails the final comparison, so it is refused too.
+    R = max_i ||left_i|| * max_j ||right_j||, rounded up by 2 * (d + 2) * eps
+    so that it bounds the computed scores too (module docstring). A norm that
+    overflows gives inf, or NaN against an all-zero side (inf * 0), without a
+    warning; either fails R <= SHIFT_FREE, so score_matrix then measures.
     """
+    d = left.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = [np.einsum("ij,ij->i", M, M).max(initial=0.0) for M in (left, right)]
+        radius = float(np.sqrt(sq[0]) * np.sqrt(sq[1]))
+    instrument.count(left.size + right.size)
+    return radius * (1.0 + 2 * (d + 2) * np.finfo(float).eps)
+
+
+def score_matrix(left, right):
+    """(S, bound) for S = left @ right.T, refused past the size guard or exp's range.
+
+    When score_radius(left, right) <= SHIFT_FREE it is the bound, and S is
+    only written. Otherwise each row block of S is written, then its max and
+    min are read while it is in cache, so the measurement makes no pass of
+    its own over S and builds no |S| array; the measured max |S| is the
+    bound, refused past SCORE_LIMIT. NaN fails that comparison too.
+    """
+    bound = score_radius(left, right)
+    measure = not bound <= SHIFT_FREE
     S = instrument.empty((left.shape[0], right.shape[0]))
     right_T = np.ascontiguousarray(right.T)
     extremes = [0.0]
     for blk in row_blocks(*S.shape):
         S_blk = instrument.matmul(left[blk], right_T, out=S[blk])
-        extremes += S_blk.max(), -S_blk.min()
-    max_abs = float(np.max(extremes))
-    if not max_abs <= SCORE_LIMIT:
-        raise ScoreOverflowError(max_abs, SCORE_LIMIT)
-    return S
+        if measure:
+            extremes += S_blk.max(), -S_blk.min()
+    if measure:
+        bound = float(np.max(extremes))
+        if not bound <= SCORE_LIMIT:
+            raise ScoreOverflowError(bound, SCORE_LIMIT)
+    return S, bound
 
 
 def scores(inst, W):
-    """S = C1 @ W @ C2.T, refusing entries outside exp's float64 range."""
+    """(S, bound) for S = C1 @ W @ C2.T, refusing scores outside exp's range."""
     W = as_matrix(W, "W", (inst.d, inst.d))
-    return _score_matrix(instrument.matmul(inst.C1, W), inst.C2)
+    return score_matrix(instrument.matmul(inst.C1, W), inst.C2)
 
 
-def softmax_rows(S):
-    """Row-stochastic matrix from raw float scores, built in place in S.
+def softmax_rows(S, bound):
+    """The softmax of S's rows held as f = (E, z), with E = exp(S) built in place in S.
 
-    Each row block is exponentiated and normalized before the next one is
-    read. It is first shifted by its row maxima only when one of them lies
-    outside +-SHIFT_FREE (or is NaN), so the charge is 3 per entry plus 1
-    per entry of each shifted block. Returns S, now holding f.
+    bound is an upper bound on |S| (score_matrix's). Each row block is
+    exponentiated and its row sums z taken before the next one is read; E is
+    left unnormalized. Row maxima are read only when bound is past
+    SHIFT_FREE (or NaN), and a block is then shifted by them only when one
+    lies outside +-SHIFT_FREE (or is NaN). The charge is 2 per entry plus 1
+    per entry of each shifted block. Returns (S, z).
     """
+    z = instrument.empty((S.shape[0],))
+    read_max = not bound <= SHIFT_FREE
     shifted = 0
     for blk in row_blocks(*S.shape):
-        f = S[blk]
-        row_max = f.max(axis=1, keepdims=True)
-        if not np.abs(row_max).max() <= SHIFT_FREE:
-            f -= row_max
-            shifted += f.size
-        np.exp(f, out=f)
-        f *= 1.0 / f.sum(axis=1, keepdims=True)
-    instrument.count(3 * S.size + shifted)
-    return S
+        E = S[blk]
+        if read_max:
+            row_max = E.max(axis=1, keepdims=True)
+            if not np.abs(row_max).max() <= SHIFT_FREE:
+                E -= row_max
+                shifted += E.size
+        np.exp(E, out=E)
+        E.sum(axis=1, out=z[blk])
+    instrument.count(2 * S.size + shifted)
+    return S, z
+
+
+def normalize(f):
+    """The dense row-stochastic matrix of f = (E, z), written over E, 1 per entry."""
+    E, z = f
+    E *= 1.0 / z[:, None]
+    instrument.count(E.size)
+    return E
+
+
+def softmax_pair(inst, W):
+    """Attention matrix f(W) held as (E, z) in the score buffer."""
+    return softmax_rows(*scores(inst, W))
 
 
 def forward_f(inst, W):
     """Attention matrix f(W), rows summing to one, built in the score buffer."""
-    return softmax_rows(scores(inst, W))
+    return normalize(softmax_pair(inst, W))
 
 
 def thin_product(F, M):
@@ -209,10 +271,12 @@ def forward_output(inst, W):
 
 
 def residual_from_f(f, inst):
-    """c = f @ C3 - Y for an already computed attention matrix."""
-    c = thin_product(f, inst.C3)
+    """c = f @ C3 - Y for an already computed f = (E, z): (E @ C3) / z - Y."""
+    E, z = f
+    c = thin_product(E, inst.C3)
+    c /= z[:, None]
     c -= inst.Y
-    instrument.count(c.size)
+    instrument.count(2 * c.size)
     return c
 
 
@@ -243,7 +307,7 @@ def softmax_dots(c, Y):
 
 def residual_c(inst, W):
     """c = f(W) @ C3 - Y, the L x d regression residual."""
-    return residual_from_f(forward_f(inst, W), inst)
+    return residual_from_f(softmax_pair(inst, W), inst)
 
 
 def loss(inst, W):
@@ -327,13 +391,13 @@ def compose_general_constants(g, adpQ, adpK):
 
 
 def general_scores(g, adpQ, adpK):
-    """S = XQ @ WQ @ WK.T @ XK.T with both effective weights in place."""
+    """(S, bound) for S = XQ @ WQ @ WK.T @ XK.T with both effective weights in place."""
     WQ, WK = adapted_general_weights(g, adpQ, adpK)
-    return _score_matrix(g.XQ @ WQ, g.XK @ WK)
+    return score_matrix(g.XQ @ WQ, g.XK @ WK)
 
 
 def general_loss(g, adpQ, adpK):
     """0.5 * || rownorm(exp(S)) @ XV @ WVstar - Y ||_F^2."""
-    f = softmax_rows(general_scores(g, adpQ, adpK))
+    f = normalize(softmax_rows(*general_scores(g, adpQ, adpK)))
     c = f @ (g.XV @ g.WVstar) - g.Y
     return 0.5 * float((c * c).sum())

@@ -19,6 +19,8 @@ from .attention import (
     LoraAdapter,
     adapted_weight,
     forward_f,
+    normalize,
+    score_matrix,
     softmax_rows,
 )
 from .errors import (
@@ -155,11 +157,15 @@ def gen_reduction(seed, L, r_red, b_bound):
 
 
 def reduction_output(ri, X=None):
-    """Row-normalized exp(A1 X A2.T / r) @ A3, the pre-embedding forward."""
+    """Row-normalized exp(A1 X A2.T / r) @ A3, the pre-embedding forward.
+
+    The scores are (A1 @ X) @ (A2 / r).T, the product embed_attlgc's
+    instance forms, range-checked by attention.score_matrix like every
+    other score matrix.
+    """
     X = ri.X if X is None else X
-    S = np.matmul(ri.A1 @ X, ri.A2.T, out=instrument.empty((ri.L, ri.L)))
-    S /= ri.r_red
-    return softmax_rows(S) @ ri.A3
+    f = normalize(softmax_rows(*score_matrix(ri.A1 @ X, ri.A2 / ri.r_red)))
+    return f @ ri.A3
 
 
 def reduction_loss(ri, X=None):

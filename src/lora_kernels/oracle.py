@@ -38,7 +38,6 @@ from .attention import (
     forward_f,
     general_loss,
     loss,
-    residual_from_f,
 )
 from .errors import DimensionError, NonFiniteError, SizeGuardError
 from .exact import GradientPair
@@ -206,7 +205,7 @@ def dense_p_oracle(inst, W):
             f"dense_p_oracle is limited to L <= {DENSE_P_GUARD_L}, got L = {L}"
         )
     f = forward_f(inst, W)
-    c = residual_from_f(f, inst)
+    c = f @ inst.C3 - inst.Y
     q = inst.C3 @ c.T
     p1 = np.empty((L, L))
     p2 = np.empty((L, L))

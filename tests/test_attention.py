@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conftest import BLOCK_ROWS, dense_q
 from lora_kernels import instrument
 from lora_kernels.attention import (
     BLOCK_ELEMENTS,
+    SCORE_LIMIT,
     SHIFT_FREE,
     AttentionInstance,
     GeneralInstance,
@@ -24,11 +26,15 @@ from lora_kernels.attention import (
     general_loss,
     general_scores,
     loss,
+    normalize,
     q_from_c,
     residual_c,
     residual_from_f,
     row_blocks,
+    score_matrix,
+    score_radius,
     scores,
+    softmax_pair,
     softmax_rows,
 )
 from lora_kernels.errors import (
@@ -51,15 +57,19 @@ def random_instance(rng, L, d, scale=1.0):
 
 
 def unshifted_softmax(S):
-    f = np.exp(S)
-    f *= 1.0 / f.sum(axis=1, keepdims=True)
-    return f
+    """The pair (E, z) = (exp(S), E's row sums), as softmax_rows holds f."""
+    E = np.exp(S)
+    return E, E.sum(axis=1)
 
 
 def shifted_softmax(S):
-    f = np.exp(S - S.max(axis=1, keepdims=True))
-    f *= 1.0 / f.sum(axis=1, keepdims=True)
-    return f
+    E = np.exp(S - S.max(axis=1, keepdims=True))
+    return E, E.sum(axis=1)
+
+
+def max_abs(S):
+    """max |S|, the tightest bound softmax_rows can be given."""
+    return float(np.abs(S).max())
 
 
 def random_general(rng, L, d):
@@ -204,7 +214,9 @@ class TestForward:
 
     def test_shift_invariance_of_softmax(self):
         S = np.array([[1.0, 2.0], [3.0, -1.0]])
-        assert np.abs(softmax_rows(S.copy()) - softmax_rows(S + 100.0)).max() <= 1e-12
+        f = normalize(softmax_rows(S.copy(), max_abs(S)))
+        f_shifted = normalize(softmax_rows(S + 100.0, max_abs(S + 100.0)))
+        assert np.abs(f - f_shifted).max() <= 1e-12
 
     def test_score_overflow_raises(self):
         inst = AttentionInstance(
@@ -218,15 +230,17 @@ class TestForward:
         assert info.value.max_abs_score == pytest.approx(900.0)
 
     def test_softmax_out_ownership(self, rng):
-        # The rows are built in the score buffer itself, which is returned,
-        # with the arithmetic of the unblocked formula on a copy. Every row
-        # max is inside the bound, so no row is shifted.
+        # E is built in the score buffer itself, which is returned with the
+        # row sums, with the arithmetic of the unblocked formula on a copy.
+        # The bound is inside SHIFT_FREE, so no row is shifted, and E is left
+        # unnormalized: exp and the row sum, 2 per entry.
         S = rng.standard_normal((5, 5))
-        want = unshifted_softmax(S)
+        want_E, want_z = unshifted_softmax(S)
         with instrument.recording() as tally:
-            assert softmax_rows(S) is S
-        assert np.array_equal(S, want)
-        assert tally.madds == 3 * S.size
+            E, z = softmax_rows(S, max_abs(S))
+        assert E is S
+        assert np.array_equal(E, want_E) and np.array_equal(z, want_z)
+        assert tally.madds == 2 * S.size
 
     @pytest.mark.parametrize("offset", [SHIFT_FREE + 50.0, -SHIFT_FREE - 50.0, np.nan])
     def test_softmax_shifts_rows_past_the_bound(self, rng, offset):
@@ -234,11 +248,12 @@ class TestForward:
         # bit for bit the shifted formula, and charges the subtraction.
         S = rng.standard_normal((5, 5))
         S[2] += offset
-        want = shifted_softmax(S)
+        want_E, want_z = shifted_softmax(S)
         with instrument.recording() as tally:
-            softmax_rows(S)
-        assert np.array_equal(S, want, equal_nan=True)
-        assert tally.madds == 4 * S.size
+            E, z = softmax_rows(S, max_abs(S))
+        assert np.array_equal(E, want_E, equal_nan=True)
+        assert np.array_equal(z, want_z, equal_nan=True)
+        assert tally.madds == 3 * S.size
 
     def test_negative_score_overflow_raises(self):
         # Every score is -900, so only the -S.min() side of the check sees it.
@@ -294,7 +309,9 @@ class TestRowBlocks:
         inst = random_instance(rng, blocked_L, 3)
         W = rng.standard_normal((3, 3))
         want = (inst.C1 @ W) @ inst.C2.T
-        assert np.abs(scores(inst, W) - want).max() <= 1e-15 * np.abs(want).max()
+        S, bound = scores(inst, W)
+        assert np.abs(S - want).max() <= 1e-15 * np.abs(want).max()
+        assert bound >= max_abs(S)
 
     def test_thin_products_match_one_product(self, rng, blocked_L):
         # f @ C3 runs as one product per row block. A block and the whole
@@ -308,15 +325,16 @@ class TestRowBlocks:
         scale = np.abs(f) @ np.abs(inst.C3) + np.abs(inst.Y)
         rounding = 2 * (L + 1) * np.finfo(float).eps * scale
         assert np.all(np.abs(forward_output(inst, W) - f @ inst.C3) <= rounding)
-        c = residual_from_f(f, inst)
+        c = residual_from_f(softmax_pair(inst, W), inst)
         assert np.all(np.abs(c - (f @ inst.C3 - inst.Y)) <= rounding)
 
     def test_softmax_matches_unblocked_formula(self, rng, blocked_L):
         S = 3.0 * rng.standard_normal((blocked_L, blocked_L))
-        want = unshifted_softmax(S)
+        want_E, want_z = unshifted_softmax(S)
         with instrument.recording() as tally:
-            assert np.array_equal(softmax_rows(S), want)
-        assert tally.madds == 3 * S.size
+            E, z = softmax_rows(S, max_abs(S))
+        assert np.array_equal(E, want_E) and np.array_equal(z, want_z)
+        assert tally.madds == 2 * S.size
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_only_the_block_past_the_bound_is_shifted(self, rng, blocked_L, sign):
@@ -325,12 +343,13 @@ class TestRowBlocks:
         S = 3.0 * rng.standard_normal((blocked_L, blocked_L))
         S[-1] += sign * (SHIFT_FREE + 50.0)
         *inside, last = row_blocks(*S.shape)
-        want = np.vstack(
-            [unshifted_softmax(S[blk]) for blk in inside] + [shifted_softmax(S[last])]
-        )
+        want = [unshifted_softmax(S[blk]) for blk in inside]
+        want.append(shifted_softmax(S[last]))
         with instrument.recording() as tally:
-            assert np.array_equal(softmax_rows(S), want)
-        assert tally.madds == 3 * S.size + S[last].size
+            E, z = softmax_rows(S, max_abs(S))
+        assert np.array_equal(E, np.vstack([E_blk for E_blk, _ in want]))
+        assert np.array_equal(z, np.concatenate([z_blk for _, z_blk in want]))
+        assert tally.madds == 2 * S.size + S[last].size
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflow_in_the_last_block_only(self, blocked_L, sign):
@@ -362,6 +381,79 @@ class TestRowBlocks:
             with pytest.raises(ScoreOverflowError) as info:
                 scores(inst, np.array([[1e10]]))
         assert math.isnan(info.value.max_abs_score)
+
+
+def tight_rows(rng, L, d, radius):
+    """Row pairs whose Cauchy-Schwarz radius is radius and is attained.
+
+    The longest right row is turned parallel to the longest left row, so
+    one score equals max ||left_i|| * max ||right_j|| and the bound has no
+    slack there but the rounding margin.
+    """
+    left, right = rng.standard_normal((L, d)), rng.standard_normal((L, d))
+    i = np.linalg.norm(left, axis=1).argmax()
+    j = np.linalg.norm(right, axis=1).argmax()
+    right[j] = left[i] * (np.linalg.norm(right[j]) / np.linalg.norm(left[i]))
+    scale = radius / (np.linalg.norm(left[i]) * np.linalg.norm(right[j]))
+    return left * math.sqrt(scale), right * math.sqrt(scale)
+
+
+class TestScoreBound:
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 6),
+        st.integers(0, 2**31 - 1),
+        st.one_of(
+            st.floats(1e-3, 1.0),
+            st.floats(0.999 * SHIFT_FREE, 1.001 * SHIFT_FREE),
+        ),
+    )
+    def test_reported_bound_covers_every_score(self, L, d, seed, radius):
+        # Small radii catch a bound that skips the square root (R^2 < R);
+        # radii near SHIFT_FREE cross between the certified and measured
+        # branches with one score at the radius itself.
+        left, right = tight_rows(np.random.default_rng(seed), L, d, radius)
+        S, bound = score_matrix(left, right)
+        assert bound >= max_abs(S)
+
+    def test_radius_inside_shift_free_is_reported(self):
+        # R = ||(3, 4)|| * ||(1, 0)|| = 5 while the one score is 3, so the
+        # bound is the radius, not a measurement, and S is still written.
+        left, right = np.array([[3.0, 4.0]]), np.array([[1.0, 0.0]])
+        S, bound = score_matrix(left, right)
+        assert bound == score_radius(left, right) == pytest.approx(5.0, rel=1e-14)
+        assert np.array_equal(S, [[3.0]])
+
+    def test_entry_maxima_do_not_bound_the_scores(self):
+        # max |left| * max |right| = 1 here, but the score is 2.
+        left = right = np.array([[1.0, 1.0]])
+        S, bound = score_matrix(left, right)
+        assert S[0, 0] == 2.0 and bound >= 2.0
+
+    def test_orthogonal_rows_past_the_product_are_measured(self):
+        # The norms multiply to about 900, past SCORE_LIMIT, but each query
+        # row is nearly orthogonal to each key row, so the scores are small:
+        # they are accepted, the bound is their measured max, and f is the
+        # unshifted formula bit for bit.
+        C1 = np.array([[30.0, 0.01], [-30.0, 0.02], [29.0, -0.01]])
+        C2 = np.array([[0.01, 30.0], [-0.02, 29.0], [0.0, -30.0]])
+        inst = AttentionInstance(C1=C1, C2=C2, C3=np.ones((3, 2)), Y=np.zeros((3, 2)))
+        assert score_radius(C1, C2) > SCORE_LIMIT
+        S, bound = scores(inst, np.eye(2))
+        assert bound == max_abs(S) < 2.0
+        E, z = unshifted_softmax(S)
+        assert np.array_equal(forward_f(inst, np.eye(2)), E * (1.0 / z[:, None]))
+
+    def test_nan_radius_falls_to_the_measurement(self):
+        # ||1e200 row||^2 overflows, and inf * 0 against all-zero keys is a
+        # NaN radius. It fails R <= SHIFT_FREE, so the scores, all zero, are
+        # measured; no warning escapes.
+        left, right = np.array([[1e200, 0.0]]), np.zeros((2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(score_radius(left, right))
+            S, bound = score_matrix(left, right)
+        assert bound == 0.0 and np.array_equal(S, np.zeros((1, 2)))
 
 
 class TestLossAndIntermediates:
@@ -512,9 +604,9 @@ class TestComposition:
             for alpha in (5.0, 0.5)
         )
         (inst_q, WQ), (inst_k, WKT) = compose_general_constants(g, adpQ, adpK)
-        S = general_scores(g, adpQ, adpK)
-        assert np.abs(scores(inst_q, WQ) - S).max() <= 1e-12
-        assert np.abs(scores(inst_k, WKT) - S).max() <= 1e-12
+        S, _ = general_scores(g, adpQ, adpK)
+        assert np.abs(scores(inst_q, WQ)[0] - S).max() <= 1e-12
+        assert np.abs(scores(inst_k, WKT)[0] - S).max() <= 1e-12
 
     def test_zero_adapters_match_special_loss(self, rng):
         # With both adapters zero the two-sided loss equals the special-case

@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 
 from lora_kernels import instrument
-from lora_kernels.attention import adapted_weight, forward_output
-from lora_kernels.errors import DimensionError, NonFiniteError, NormBoundError
+from lora_kernels.attention import adapted_weight, forward_output, scores
+from lora_kernels.errors import (
+    DimensionError,
+    NonFiniteError,
+    NormBoundError,
+    ScoreOverflowError,
+)
 from lora_kernels.exact import grad_adapters_special
 from lora_kernels.harness import (
     BENCH_HEADER,
@@ -223,6 +228,20 @@ class TestReduction:
         ri = gen_reduction(4, 8, 2, 1.0)
         assert reduction_output(ri).shape == (8, 2)
         assert reduction_loss(ri) >= 0.0
+
+    def test_output_range_checks_its_scores(self):
+        # Scores of about 1.5e307 are past exp's range: the embedded instance's
+        # scores raise, and so must the reduction's own forward.
+        ri = gen_reduction(0, 64, 2, 0.5)
+        X = ri.X * 1e308
+        inst, adp = embed_attlgc(ri, 4)
+        W = np.zeros((4, 4))
+        W[:2, :2] = X
+        with pytest.raises(ScoreOverflowError) as embedded:
+            scores(inst, W)
+        with pytest.raises(ScoreOverflowError) as info:
+            reduction_output(ri, X)
+        assert info.value.max_abs_score == embedded.value.max_abs_score
 
     def test_embed_requires_room(self):
         ri = gen_reduction(4, 8, 3, 1.0)

@@ -17,7 +17,6 @@ from lora_kernels.attention import (
     adapted_weight,
     forward_f,
     q_from_c,
-    residual_from_f,
     softmax_dots,
 )
 from lora_kernels.errors import SizeGuardError
@@ -137,11 +136,14 @@ class TestEmpty:
 class TestClosedForms:
     # A product that drops out of a path's count fails these equalities.
 
-    # Scores inside +-SHIFT_FREE skip the softmax shift: (4d + 5) L^2.
+    # Scores whose radius is inside SHIFT_FREE skip the softmax shift, and f
+    # stays unnormalized: (4d + 4) L^2. The L d terms: the score radius 2,
+    # the residual 2 (divide by z, subtract Y), the row dots 2, and c / z 1,
+    # plus r / z, L. C1 @ W and the sandwich's C1.T product are d^2 L each.
     @pytest.mark.parametrize("L, d", SIZES)
     def test_exact_special(self, L, d):
         inst, adp, Wstar = gen_instance(1, L, d, R, 0.5)
-        want = (4 * d + 5) * L * L + (2 * d * d + 3 * d) * L + 2 * R * d * d
+        want = (4 * d + 4) * L * L + (2 * d * d + 7 * d + 1) * L + 2 * R * d * d
         assert madds(grad_adapters_special, inst, Wstar, adp) == want
 
     @pytest.mark.parametrize("L, d", SIZES)
@@ -153,14 +155,14 @@ class TestClosedForms:
         top = S.flat[np.abs(S).argmax()]
         target = (SHIFT_FREE + SCORE_LIMIT) / 2
         inst = dataclasses.replace(inst, C1=inst.C1 * (target / top))
-        want = (4 * d + 6) * L * L + (2 * d * d + 3 * d) * L + 2 * R * d * d
+        want = (4 * d + 5) * L * L + (2 * d * d + 7 * d + 1) * L + 2 * R * d * d
         assert madds(grad_adapters_special, inst, Wstar, adp) == want
 
     @pytest.mark.parametrize("L, d", SIZES)
     def test_exact_general(self, L, d):
         g, adpQ, adpK = general_problem(2, L, d)
         want = (
-            (4 * d + 5) * L * L + (3 * d * d + 3 * d) * L + 4 * R * d * d + 3 * d**3
+            (4 * d + 4) * L * L + (3 * d * d + 7 * d + 1) * L + 4 * R * d * d + 3 * d**3
         )
         assert madds(grad_adapters_general, g, adpQ, adpK) == want
 
@@ -171,7 +173,7 @@ class TestClosedForms:
         # p charges q's rows, d per entry, and its 2 per entry.
         inst, adp, Wstar = gen_instance(5, L, d, R, 0.5)
         f = forward_f(inst, adapted_weight(Wstar, adp))
-        c = residual_from_f(f, inst)
+        c = f @ inst.C3 - inst.Y
         r = softmax_dots(c, inst.Y)
         with instrument.recording() as tally:
             q = q_from_c(c, inst)

@@ -20,6 +20,9 @@ RAW_ALLOCATORS = {"empty", "empty_like"}
 # errors.as_matrix is the one finiteness check of an input matrix; oracle.fd_grad
 # also checks its scalar loss values.
 FINITENESS_CHECKERS = {"errors", "oracle"}
+# attention.softmax_rows is the package's one softmax, and the one place its
+# normalization is deferred to (E, z); the oracle builds its own references.
+EXP_CALLERS = {"attention", "oracle"}
 PACKAGE_MODULES = {p.stem for p in Path(lora_kernels.__file__).parent.glob("*.py")}
 
 
@@ -96,6 +99,24 @@ def test_detects_a_finiteness_check(tmp_path):
         "    raise ValueError('M is not finite')\n"
     )
     assert numpy_calls(src, {"isfinite"}) == ["np.isfinite"]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE_MODULES - EXP_CALLERS))
+def test_exp_is_called_by_the_one_softmax(module):
+    # A second exp would be a second softmax, with its own shift rule and
+    # its own idea of whether f is normalized.
+    path = Path(lora_kernels.__file__).with_name(f"{module}.py")
+    assert numpy_calls(path, {"exp"}) == []
+
+
+def test_detects_an_exp_call(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import numpy as np\n"
+        "f = np.exp(S - S.max(axis=1, keepdims=True))\n"
+        "f /= f.sum(axis=1, keepdims=True)\n"
+    )
+    assert numpy_calls(src, {"exp"}) == ["np.exp"]
 
 
 def test_gradient_path_loads_only_the_gradient_path():
