@@ -365,39 +365,24 @@ def compose_special_constants(g, alpha, r):
     )
 
 
-def adapted_general_weights(g, adpQ, adpK):
-    """Effective (WQ, WK) = (WQstar, WKstar) plus each adapter's scaled update."""
+def compose_general_constants(g, adpQ, adpK):
+    """The two-sided problem as one special-case instance and its two weights.
+
+    Returns (inst, WQ, WK): inst = (XQ, XK, XV @ WVstar, Y), and WQ, WK are
+    the frozen weights plus each adapter's scaled update (alpha/r) * B @ A.
+    inst's scores at W = WQ @ WK.T are the two-sided scores
+    XQ @ WQ @ WK.T @ XK.T, so every two-sided computation is a special-case
+    one from here. Must be recomputed whenever either adapter changes.
+    """
     if adpQ.d != g.d or adpK.d != g.d:
         raise DimensionError("adapter dimension does not match the instance")
     WQ = g.WQstar + adpQ.scale * adpQ.delta()
     WK = g.WKstar + adpK.scale * adpK.delta()
-    return WQ, WK
-
-
-def compose_general_constants(g, adpQ, adpK):
-    """The two special-case problems (instance, weight) of the two-sided problem.
-
-    Both factor the one score matrix S = XQ @ WQ @ WK.T @ XK.T. The query
-    side is (XQ, XK @ WK) at WQ; the key side is (XQ @ WQ, XK) at WK.T, so
-    its weight gradient is dL/d(WK.T) and its transpose is dL/dWK. Both
-    share C3 = XV @ WVstar and Y. Must be recomputed whenever either adapter
-    changes: each side bakes in the other side's current weight.
-    """
-    WQ, WK = adapted_general_weights(g, adpQ, adpK)
     C3 = instrument.matmul(g.XV, g.WVstar)
-    side_q = AttentionInstance(C1=g.XQ, C2=instrument.matmul(g.XK, WK), C3=C3, Y=g.Y)
-    side_k = AttentionInstance(C1=instrument.matmul(g.XQ, WQ), C2=g.XK, C3=C3, Y=g.Y)
-    return (side_q, WQ), (side_k, WK.T)
-
-
-def general_scores(g, adpQ, adpK):
-    """(S, bound) for S = XQ @ WQ @ WK.T @ XK.T with both effective weights in place."""
-    WQ, WK = adapted_general_weights(g, adpQ, adpK)
-    return score_matrix(g.XQ @ WQ, g.XK @ WK)
+    return AttentionInstance(C1=g.XQ, C2=g.XK, C3=C3, Y=g.Y), WQ, WK
 
 
 def general_loss(g, adpQ, adpK):
-    """0.5 * || rownorm(exp(S)) @ XV @ WVstar - Y ||_F^2."""
-    f = normalize(softmax_rows(*general_scores(g, adpQ, adpK)))
-    c = f @ (g.XV @ g.WVstar) - g.Y
-    return 0.5 * float((c * c).sum())
+    """0.5 * || f(WQ @ WK.T) @ XV @ WVstar - Y ||_F^2, the composed instance's loss."""
+    inst, WQ, WK = compose_general_constants(g, adpQ, adpK)
+    return loss(inst, WQ @ WK.T)

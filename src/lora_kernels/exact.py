@@ -47,8 +47,9 @@ When the scores' Cauchy-Schwarz radius is within SHIFT_FREE
 row maxima, and no pass scales E by 1/z.
 
 The two-sided problem's scores XQ @ WQ @ WK.T @ XK.T are the special
-case's scores on (C1, C2) = (XQ, XK) at the one weight W = WQ @ WK.T. So one
-special gradient G = grad_wrt_W at that W serves both sides:
+case's scores on (C1, C2) = (XQ, XK) at the one weight W = WQ @ WK.T, and
+attention.compose_general_constants returns that instance with WQ and WK.
+So one special gradient G = grad_wrt_W at that W serves both sides:
 dL/dWQ = G @ WK and dL/dWK = G.T @ WQ, two d x d products.
 """
 
@@ -58,10 +59,9 @@ import numpy as np
 
 from . import instrument
 from .attention import (
-    AttentionInstance,
-    adapted_general_weights,
     adapted_weight,
     block_rows,
+    compose_general_constants,
     q_from_c,
     residual_from_f,
     row_blocks,
@@ -156,14 +156,12 @@ def grad_adapters_special(inst, Wstar, adp):
 def grad_adapters_general(g, adpQ, adpK):
     """Exact gradient pairs (Q-side, K-side) of the two-sided problem.
 
-    The scores XQ @ WQ @ WK.T @ XK.T are the special case's on (XQ, XK) at
-    W = WQ @ WK.T, so G = grad_wrt_W there gives dL/dWQ = G @ WK and
-    dL/dWK = G.T @ WQ. Each weight gradient carries its adapter's scale
-    alpha/r.
+    The composed instance's scores at W = WQ @ WK.T are the two-sided
+    scores (attention.compose_general_constants), so G = grad_wrt_W there
+    gives dL/dWQ = G @ WK and dL/dWK = G.T @ WQ. Each weight gradient
+    carries its adapter's scale alpha/r.
     """
-    WQ, WK = adapted_general_weights(g, adpQ, adpK)
-    C3 = instrument.matmul(g.XV, g.WVstar)
-    inst = AttentionInstance(C1=g.XQ, C2=g.XK, C3=C3, Y=g.Y)
+    inst, WQ, WK = compose_general_constants(g, adpQ, adpK)
     G = grad_wrt_W(inst, instrument.matmul(WQ, WK.T))
     NQ = instrument.matmul(G, WK)
     NK = instrument.matmul(G.T, WQ)

@@ -56,13 +56,15 @@ Two interchangeable sources for the f factor:
 * oracle.approx_f_svd: truncated SVD of the densely computed f; validation
   only, used to test the downstream chain in isolation at machine precision.
 
-The two-sided problem is the same pipeline run once per side on that side's
-constants (compose_general_constants).
+The two-sided problem is one special-case instance at W = WQ @ WK.T
+(attention.compose_general_constants). A polynomial factor is built from
+the scores' two factors, so approx_grad_general runs this pipeline once per
+side: on (XQ, XK @ WK) at WQ, and on (XQ @ WQ, XK) at WK.T.
 """
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -472,18 +474,27 @@ def approx_grad_special(inst, Wstar, adp, cfg):
 def approx_grad_general(g, adpQ, adpK, cfg):
     """Almost-linear gradient pairs (Q-side, K-side) of the two-sided problem.
 
-    Each side is the special case on its own constants; the key side's
-    weight gradient is transposed back to dL/dWK, and each side's carries its
-    adapter's scale alpha/r. The sides run one after the other, so only one
-    side's factors are alive at a time.
+    A polynomial factor is built from the scores' two factors, so the
+    composed instance runs once per side, each side's constants built when
+    its turn comes: (XQ, XK @ WK) at WQ, then (XQ @ WQ, XK) at WK.T, whose
+    gradient is transposed back to dL/dWK. Each weight gradient carries its
+    adapter's scale alpha/r. Only one side's factors are alive at a time. A
+    violated norm bound names the matrix it was measured on.
     """
+    inst, WQ, WK = compose_general_constants(g, adpQ, adpK)
     grads = []
-    for side, (inst, W) in zip("QK", compose_general_constants(g, adpQ, adpK)):
+    for side in "QK":
+        if side == "Q":
+            side_inst = replace(inst, C2=instrument.matmul(inst.C2, WK))
+            W, names = WQ, {"C1 @ W": "XQ @ WQ", "C2": "XK @ WK"}
+        else:
+            side_inst = replace(inst, C1=instrument.matmul(inst.C1, WQ))
+            W, names = WK.T, {"C1 @ W": "XQ @ WQ @ WK.T", "C2": "XK"}
         try:
-            f_lr = approx_f_poly(inst, W, cfg)
+            f_lr = approx_f_poly(side_inst, W, cfg)
         except NormBoundError as err:
-            raise NormBoundError(f"{side} side {err.name}", err.measured, err.bound)
-        grads.append(_grad_W(f_lr, inst))
+            raise NormBoundError(names[err.name], err.measured, err.bound) from err
+        grads.append(_grad_W(f_lr, side_inst))
         del f_lr  # free this side's factor before the next side builds its own
     NQ, NK = grads
     return project(adpQ, adpQ.scale * NQ), project(adpK, adpK.scale * NK.T)

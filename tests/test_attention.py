@@ -24,7 +24,6 @@ from lora_kernels.attention import (
     forward_f,
     forward_output,
     general_loss,
-    general_scores,
     loss,
     normalize,
     q_from_c,
@@ -273,7 +272,7 @@ class TestForward:
         )
         adp = LoraAdapter(B=zero, A=zero, r=1, alpha=1.0)
         with pytest.raises(ScoreOverflowError) as info:
-            general_scores(g, adp, adp)
+            general_loss(g, adp, adp)
         assert info.value.max_abs_score == pytest.approx(900.0)
 
     def test_weight_shape_checked(self, rng):
@@ -582,17 +581,18 @@ class TestComposition:
     def test_zero_query_adapter_general(self, rng):
         g = random_general(rng, 4, 2)
         zero = LoraAdapter(B=np.zeros((2, 1)), A=np.zeros((1, 2)), r=1, alpha=1.0)
-        (inst_q, WQ), (inst_k, WKT) = compose_general_constants(g, zero, zero)
-        assert np.abs(inst_k.C1 - g.XQ @ g.WQstar).max() <= 1e-14
-        assert np.array_equal(inst_k.C2, g.XK)
-        assert np.array_equal(inst_q.C1, g.XQ)
-        assert np.abs(inst_q.C2 - g.XK @ g.WKstar).max() <= 1e-14
+        inst, WQ, WK = compose_general_constants(g, zero, zero)
+        assert np.array_equal(inst.C1, g.XQ)
+        assert np.array_equal(inst.C2, g.XK)
+        assert np.abs(inst.C3 - g.XV @ g.WVstar).max() <= 1e-14
+        assert np.array_equal(inst.Y, g.Y)
         assert np.array_equal(WQ, g.WQstar)
-        assert np.array_equal(WKT, g.WKstar.T)
+        assert np.array_equal(WK, g.WKstar)
 
     def test_sides_share_one_score_matrix(self, rng):
-        # Both general paths factor S once per side; off zero adapters and
-        # off unit scale (alpha != r) the two sides must still agree on S.
+        # Every two-sided path starts from the composed instance at
+        # W = WQ @ WK.T; off zero adapters and off unit scale (alpha != r) its
+        # scores must be the two-sided S = (XQ @ WQ) @ (XK @ WK).T.
         g = random_general(rng, 6, 3)
         adpQ, adpK = (
             LoraAdapter(
@@ -603,10 +603,11 @@ class TestComposition:
             )
             for alpha in (5.0, 0.5)
         )
-        (inst_q, WQ), (inst_k, WKT) = compose_general_constants(g, adpQ, adpK)
-        S, _ = general_scores(g, adpQ, adpK)
-        assert np.abs(scores(inst_q, WQ)[0] - S).max() <= 1e-12
-        assert np.abs(scores(inst_k, WKT)[0] - S).max() <= 1e-12
+        inst, WQ, WK = compose_general_constants(g, adpQ, adpK)
+        assert np.abs(WQ - (g.WQstar + 2.5 * adpQ.B @ adpQ.A)).max() <= 1e-14
+        assert np.abs(WK - (g.WKstar + 0.25 * adpK.B @ adpK.A)).max() <= 1e-14
+        S = (g.XQ @ WQ) @ (g.XK @ WK).T
+        assert np.abs(scores(inst, WQ @ WK.T)[0] - S).max() <= 1e-12
 
     def test_zero_adapters_match_special_loss(self, rng):
         # With both adapters zero the two-sided loss equals the special-case

@@ -23,6 +23,10 @@ FINITENESS_CHECKERS = {"errors", "oracle"}
 # attention.softmax_rows is the package's one softmax, and the one place its
 # normalization is deferred to (E, z); the oracle builds its own references.
 EXP_CALLERS = {"attention", "oracle"}
+# attention's compose functions are the one home of how a GeneralInstance
+# becomes a special-case problem, so only attention reads its frozen weights.
+FROZEN_WEIGHTS = {"WQstar", "WKstar", "WVstar"}
+WEIGHT_READERS = {"attention"}
 PACKAGE_MODULES = {p.stem for p in Path(lora_kernels.__file__).parent.glob("*.py")}
 
 
@@ -117,6 +121,35 @@ def test_detects_an_exp_call(tmp_path):
         "f /= f.sum(axis=1, keepdims=True)\n"
     )
     assert numpy_calls(src, {"exp"}) == ["np.exp"]
+
+
+def attribute_reads(path, names):
+    """The .<name> attribute reads in a module's source, for name in names."""
+    return [
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr in names
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE_MODULES - WEIGHT_READERS))
+def test_frozen_weights_are_read_by_the_one_composition(module):
+    # A second reader would be a second composition of the two-sided
+    # problem, free to drift from compose_general_constants' scales.
+    path = Path(lora_kernels.__file__).with_name(f"{module}.py")
+    assert attribute_reads(path, FROZEN_WEIGHTS) == []
+
+
+def test_detects_a_frozen_weight_read(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "g = GeneralInstance(XQ=X, XK=X, XV=X, WQstar=W, WKstar=W, WVstar=W, Y=X)\n"
+        "C3 = g.XV @ g.WVstar\n"
+        "WK = g.WKstar + adpK.scale * adpK.delta()\n"
+    )
+    assert attribute_reads(src, FROZEN_WEIGHTS) == ["WVstar", "WKstar"]
 
 
 def test_gradient_path_loads_only_the_gradient_path():

@@ -760,9 +760,12 @@ class TestApproxGeneral:
         return g, adpQ, adpK
 
     def measured_gamma(self, g, adpQ, adpK):
+        # The four norms the two sides check: (XQ @ WQ, XK @ WK) on the query
+        # side, (XQ @ WQ @ WK.T, XK) on the key side.
+        inst, WQ, WK = compose_general_constants(g, adpQ, adpK)
+        XQWQ = inst.C1 @ WQ
         return max(
-            max(np.abs(inst.C1 @ W).max(), np.abs(inst.C2).max())
-            for inst, W in compose_general_constants(g, adpQ, adpK)
+            np.abs(M).max() for M in (XQWQ, inst.C2 @ WK, XQWQ @ WK.T, inst.C2)
         )
 
     def test_matches_exact_on_both_sides(self):
@@ -780,12 +783,31 @@ class TestApproxGeneral:
             assert np.abs(got - want).max() <= 1e-6
 
     def test_norm_violation_names_the_side(self):
-        g, adpQ, adpK = self.build(np.random.default_rng(42))
-        gamma = self.measured_gamma(g, adpQ, adpK)
-        cfg = PolyApproxConfig(gamma=0.5 * gamma, degree=None, eps_target=1e-3)
-        with pytest.raises(NormBoundError) as info:
-            approx_grad_general(g, adpQ, adpK, cfg)
-        assert info.value.name.startswith(("Q side", "K side"))
+        # WQ = I, WK a scalar times I, zero adapters and gamma = 1: each case
+        # breaks exactly one of the four checked norms, and the error names
+        # the product it was measured on.
+        L, d = 5, 2
+        ones = np.ones((L, d))
+        zero = LoraAdapter(B=np.zeros((d, 1)), A=np.zeros((1, d)), r=1, alpha=1.0)
+        cfg = PolyApproxConfig(gamma=1.0, degree=None, eps_target=1e-3)
+        cases = [
+            # Query side, (XQ @ WQ, XK @ WK) at WQ: it runs first.
+            (2.0, 0.1, 1.0, "XQ @ WQ"),
+            (0.5, 3.0, 1.0, "XK @ WK"),
+            # Key side, (XQ @ WQ @ WK.T, XK) at WK.T, the query side in bounds.
+            (0.5, 0.1, 3.0, "XQ @ WQ @ WK.T"),
+            (0.5, 3.0, 0.1, "XK"),
+        ]
+        for xq, xk, wk, name in cases:
+            g = GeneralInstance(
+                XQ=xq * ones, XK=xk * ones, XV=ones,
+                WQstar=np.eye(d), WKstar=wk * np.eye(d), WVstar=np.eye(d),
+                Y=ones,
+            )
+            with pytest.raises(NormBoundError) as info:
+                approx_grad_general(g, zero, zero, cfg)
+            assert info.value.name == name
+            assert isinstance(info.value.__cause__, NormBoundError)
 
     def test_query_side_matches_special_path(self):
         # With the key adapter zeroed, the general query gradients must equal
@@ -846,7 +868,8 @@ class TestApproxGeneral:
         s = gamma / self.measured_gamma(g, adpQ, adpK)
         g = dataclasses.replace(g, XQ=s * g.XQ, XK=s * g.XK)
         cfg = PolyApproxConfig(gamma=gamma, degree=None, eps_target=1e-3)
-        (inst_q, WQ), _ = compose_general_constants(g, adpQ, adpK)
+        inst, WQ, WK = compose_general_constants(g, adpQ, adpK)
+        inst_q = dataclasses.replace(inst, C2=inst.C2 @ WK)
 
         def peak(fn):
             tracemalloc.start()
