@@ -9,7 +9,10 @@ four L x d constants:
 with W = Wbar + B @ A a rank-r update of a frozen d x d weight. In the
 query-side special case C1 absorbs the adapter scale alpha/r and Wbar is the
 correspondingly rescaled frozen weight (r/alpha) * Wstar, so the trainable
-part enters as a plain product B @ A.
+part enters as a plain product B @ A. The same type holds the two-sided
+problem at W = WQ @ WK.T (compose_general_constants) and the AttLGC
+reduction at its own weight X (harness.gen_reduction), so forward_output
+and loss are the package's one forward pass and loss.
 
 Orientation conventions, used consistently everywhere downstream:
 
@@ -345,24 +348,6 @@ class GeneralInstance:
     @property
     def d(self):
         return self.XQ.shape[1]
-
-
-def compose_special_constants(g, alpha, r):
-    """Collapse a raw instance to the query-side special case.
-
-    C1 = XQ * (alpha/r), C2 = XK @ WKstar, C3 = XV @ WVstar. The key and
-    value weights are frozen at these values; only the query weight stays
-    trainable through the returned instance.
-    """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got r={r}")
-    check_positive_finite("alpha", alpha)
-    return AttentionInstance(
-        C1=g.XQ * (alpha / r),
-        C2=g.XK @ g.WKstar,
-        C3=g.XV @ g.WVstar,
-        Y=g.Y,
-    )
 
 
 def compose_general_constants(g, adpQ, adpK):

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .attention import adapted_weight, forward_output
+from .attention import adapted_weight, forward_output, loss
 from .errors import LoraKernelsError
 from .exact import grad_adapters_special
 from .harness import (
@@ -19,8 +19,6 @@ from .harness import (
     embed_attlgc,
     gen_instance,
     gen_reduction,
-    reduction_loss,
-    reduction_output,
     sweep_gamma,
 )
 from .lowrank import PolyApproxConfig, approx_f_poly, grad_from_f_factor
@@ -219,20 +217,20 @@ def _cmd_sweep(args):
 
 
 def _cmd_reduce_check(args):
-    ri = gen_reduction(args.seed, args.L, args.r_red, args.b_bound)
-    inst, adp = embed_attlgc(ri, args.d)
+    red, X = gen_reduction(args.seed, args.L, args.r_red, args.b_bound)
+    inst, adp = embed_attlgc(red, X, args.d)
     Wstar = np.zeros((args.d, args.d))
     failures = 0
 
     out_att = forward_output(inst, adapted_weight(Wstar, adp))
-    out_red = reduction_output(ri)
+    out_red = forward_output(red, X)
     err_out = float(np.abs(out_att[:, : args.r_red] - out_red).max())
     ok = err_out <= 1e-10
     failures += 0 if ok else 1
     print(f"output subblock:  max abs err {err_out:.3e} {'PASS' if ok else 'FAIL'}")
 
     pair = grad_adapters_special(inst, Wstar, adp)
-    fd = fd_grad(lambda X: reduction_loss(ri, X), ri.X)
+    fd = fd_grad(lambda Xp: loss(red, Xp), X)
     scale = max(1.0, float(np.abs(fd).max()))
     err_g = float(np.abs(pair.GA[:, : args.r_red] - fd).max()) / scale
     ok = err_g <= 1e-5

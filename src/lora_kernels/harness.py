@@ -1,5 +1,11 @@
 """Instance generation, scaling benchmarks, norm sweeps, and the embedding check.
 
+Every problem here is an attention.AttentionInstance: gen_instance's at the
+adapted weight, and gen_reduction's AttLGC reduction at its own weight X, so
+attention.forward_output and attention.loss are the one forward pass and
+loss of both. embed_attlgc pads the reduction into a LoRA problem of a
+larger head dimension.
+
 Everything here is driven by a single integer seed through numpy's
 default_rng (PCG64); per-point sub-streams come from SeedSequence.spawn so
 results are reproducible run to run and independent of evaluation order.
@@ -14,22 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import instrument
-from .attention import (
-    AttentionInstance,
-    LoraAdapter,
-    adapted_weight,
-    forward_f,
-    normalize,
-    score_matrix,
-    softmax_rows,
-)
+from .attention import AttentionInstance, LoraAdapter, adapted_weight, forward_f
 from .errors import (
     ApproxBreakdownError,
     DimensionError,
     SizeGuardError,
-    check_norm_bound,
+    as_matrix,
     check_positive_finite,
-    matrix_fields,
 )
 from .exact import grad_adapters_special
 from .instrument import loglog_slope
@@ -107,40 +104,19 @@ def gen_instance(seed, L, d, r, gamma_target):
     return inst, adp, Wstar
 
 
-@dataclass(frozen=True)
-class ReductionInstance:
-    """Attention-regression problem in its pre-embedding shape.
-
-    Four L x r matrices (A1, A2, A3, E), a trainable r x r weight X, and
-    the norm budget b_bound with ||A1 @ X||_inf <= b_bound and
-    ||A2||_inf <= b_bound. E is zero in the hard regime.
-    """
-
-    A1: np.ndarray
-    A2: np.ndarray
-    A3: np.ndarray
-    E: np.ndarray
-    X: np.ndarray
-    b_bound: float
-
-    def __post_init__(self):
-        rows = {name: ("L", "r_red") for name in ("A2", "A3", "E")}
-        matrix_fields(self, "A1", rows | {"X": ("r_red", "r_red")})
-        check_positive_finite("b_bound", self.b_bound)
-        check_norm_bound("A1 @ X", self.A1 @ self.X, self.b_bound)
-        check_norm_bound("A2", self.A2, self.b_bound)
-
-    @property
-    def L(self):
-        return self.A1.shape[0]
-
-    @property
-    def r_red(self):
-        return self.A1.shape[1]
-
-
 def gen_reduction(seed, L, r_red, b_bound):
-    """Seeded reduction instance with both norms tight at b_bound and E = 0."""
+    """Seeded AttLGC reduction instance as (inst, X), both norms tight at b_bound.
+
+    The reduction's four L x r_red matrices (A1, A2, A3, E) and its r_red x
+    r_red weight X (Alman & Song 2024) are an attention problem at W = X:
+
+        C1 = A1,   C2 = A2 / r_red,   C3 = A3,   Y = E = 0,
+
+    so f(X) = rownorm(exp(A1 @ X @ A2.T / r_red)) and attention.forward_output
+    and attention.loss are its forward pass and loss. Draw order is fixed
+    (A1, A2, A3, X, all standard normal); A1 and A2 are then rescaled so that
+    ||A1 @ X||_inf = ||A2||_inf = b_bound exactly.
+    """
     if L < 1 or r_red < 1:
         raise DimensionError(f"invalid sizes L={L}, r_red={r_red}")
     check_positive_finite("b_bound", b_bound)
@@ -151,56 +127,30 @@ def gen_reduction(seed, L, r_red, b_bound):
     X = rng.standard_normal((r_red, r_red))
     A1 *= b_bound / np.abs(A1 @ X).max()
     A2 *= b_bound / np.abs(A2).max()
-    return ReductionInstance(
-        A1=A1, A2=A2, A3=A3, E=np.zeros((L, r_red)), X=X, b_bound=b_bound
-    )
+    inst = AttentionInstance(C1=A1, C2=A2 / r_red, C3=A3, Y=np.zeros((L, r_red)))
+    return inst, X
 
 
-def reduction_output(ri, X=None):
-    """Row-normalized exp(A1 X A2.T / r) @ A3, the pre-embedding forward.
+def embed_attlgc(inst, X, d):
+    """Embed the reduction instance (inst, X) into head dimension d >= r.
 
-    The scores are (A1 @ X) @ (A2 / r).T, the product embed_attlgc's
-    instance forms, range-checked by attention.score_matrix like every
-    other score matrix.
+    Each of C1, C2, C3 and Y gains d - r zero columns; the adapter is
+    B = [I_r; 0], A = [X | 0] with scale one, so C1 @ B @ A @ C2.T
+    reproduces inst's scores at W = X exactly and the upper L x r block of
+    the attention output equals forward_output(inst, X). The padded C3
+    columns are zero, so the residual's trailing columns vanish and the
+    losses agree entry for entry; the gradient with respect to X is the
+    leading r columns of the adapter's A-gradient.
     """
-    X = ri.X if X is None else X
-    f = normalize(softmax_rows(*score_matrix(ri.A1 @ X, ri.A2 / ri.r_red)))
-    return f @ ri.A3
-
-
-def reduction_loss(ri, X=None):
-    """0.5 squared Frobenius loss of the pre-embedding problem at X."""
-    diff = reduction_output(ri, X) - ri.E
-    return 0.5 * float((diff * diff).sum())
-
-
-def embed_attlgc(ri, d):
-    """Embed a reduction instance into an attention instance of head dim d.
-
-    C1 = [A1 | 0], C2 = [A2 | 0] / r, C3 = [A3 | 0], Y = [E | 0]; the
-    adapter is B = [I_r; 0], A = [X | 0] with scale one, so C1 @ B @ A @ C2.T
-    reproduces A1 X A2.T / r exactly and the upper L x r block of the
-    attention output equals the reduction output. The padded C3 columns are
-    zero, so the residual's trailing columns vanish and the losses agree
-    entry for entry; the gradient with respect to X is the leading r columns
-    of the adapter's A-gradient.
-    """
-    r = ri.r_red
+    r = inst.d
     if r > d:
         raise DimensionError(f"cannot embed r_red={r} into head dimension d={d}")
-    L = ri.L
-    pad = np.zeros((L, d - r))
-    C1 = np.hstack([ri.A1, pad])
-    C2 = np.hstack([ri.A2, pad]) / r
-    C3 = np.hstack([ri.A3, pad])
-    Y = np.hstack([ri.E, np.zeros((L, d - r))])
-    inst = AttentionInstance(C1=C1, C2=C2, C3=C3, Y=Y)
+    X = as_matrix(X, "X", (r, r))
+    pad = np.zeros((inst.L, d - r))
+    padded = {n: np.hstack([getattr(inst, n), pad]) for n in ("C1", "C2", "C3", "Y")}
     B = np.vstack([np.eye(r), np.zeros((d - r, r))])
-    A = np.hstack([ri.X, np.zeros((r, d - r))])
-    adp = LoraAdapter(B=B, A=A, r=r, alpha=float(r))
-    check_norm_bound("C2", inst.C2, ri.b_bound)
-    check_norm_bound("C1 @ B @ A", C1 @ B @ A, ri.b_bound)
-    return inst, adp
+    A = np.hstack([X, np.zeros((r, d - r))])
+    return AttentionInstance(**padded), LoraAdapter(B=B, A=A, r=r, alpha=float(r))
 
 
 def bench_scaling(L_list, d, r, cfg, repeats=3, seed=0):

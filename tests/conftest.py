@@ -41,6 +41,18 @@ def dense_q(pair):
     return C3 @ c.T
 
 
+def special_constants(g, alpha, r):
+    """The query-side special case of a GeneralInstance, built from its raw fields.
+
+    C1 = XQ * (alpha/r), C2 = XK @ WKstar, C3 = XV @ WVstar: the key and
+    value weights frozen, only the query weight trainable. The independent
+    reference the two-sided paths are compared against.
+    """
+    return attention.AttentionInstance(
+        C1=g.XQ * (alpha / r), C2=g.XK @ g.WKstar, C3=g.XV @ g.WVstar, Y=g.Y
+    )
+
+
 # Rows per block in the row-blocking tests.
 BLOCK_ROWS = 4
 

@@ -10,15 +10,16 @@ import time
 
 import numpy as np
 
+from conftest import special_constants
 from lora_kernels import instrument
 from lora_kernels.attention import (
     AttentionInstance,
     GeneralInstance,
     LoraAdapter,
     adapted_weight,
-    compose_special_constants,
     forward_f,
     forward_output,
+    loss,
     normalize,
     softmax_rows,
 )
@@ -31,8 +32,6 @@ from lora_kernels.harness import (
     embed_attlgc,
     gen_instance,
     gen_reduction,
-    reduction_loss,
-    reduction_output,
     sweep_gamma,
 )
 from lora_kernels.lowrank import (
@@ -138,7 +137,7 @@ def test_criterion_2_general_case():
     )
     adpK0 = LoraAdapter(B=np.zeros((d, r)), A=np.zeros((r, d)), r=r, alpha=1.0)
     gq, _ = grad_adapters_general(g, adpQ, adpK0)
-    inst = compose_special_constants(g, alpha=adpQ.alpha, r=adpQ.r)
+    inst = special_constants(g, alpha=adpQ.alpha, r=adpQ.r)
     sp = grad_adapters_special(inst, g.WQstar, adpQ)
     cross = max(
         float(np.abs(gq.GA - sp.GA).max()), float(np.abs(gq.GB - sp.GB).max())
@@ -282,14 +281,14 @@ def test_criterion_6_norm_threshold():
 
 def test_criterion_7_reduction_fidelity():
     t0 = time.perf_counter()
-    ri = gen_reduction(7, 8, 2, 1.0)
-    inst, adp = embed_attlgc(ri, 4)
+    red, X = gen_reduction(7, 8, 2, 1.0)
+    inst, adp = embed_attlgc(red, X, 4)
     W = adapted_weight(np.zeros((4, 4)), adp)
     out_err = float(
-        np.abs(forward_output(inst, W)[:, :2] - reduction_output(ri)).max()
+        np.abs(forward_output(inst, W)[:, :2] - forward_output(red, X)).max()
     )
     pair = grad_adapters_special(inst, np.zeros((4, 4)), adp)
-    fd = fd_grad(lambda X: reduction_loss(ri, X), ri.X)
+    fd = fd_grad(lambda Xp: loss(red, Xp), X)
     g_err = float(np.abs(pair.GA[:, :2] - fd).max()) / max(
         1.0, float(np.abs(fd).max())
     )

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import special_constants
 from lora_kernels.attention import (
     BLOCK_ELEMENTS,
     AttentionInstance,
     GeneralInstance,
     LoraAdapter,
     adapted_weight,
-    compose_special_constants,
     forward_f,
     general_loss,
     normalize,
@@ -390,7 +390,7 @@ class TestGradAdaptersGeneral:
         adpQ = random_adapter(rng, 2, 1, alpha=3.0)
         adpK = LoraAdapter(B=np.zeros((2, 1)), A=np.zeros((1, 2)), r=1, alpha=1.0)
         pair_q, _ = grad_adapters_general(g, adpQ, adpK)
-        inst = compose_special_constants(g, alpha=adpQ.alpha, r=adpQ.r)
+        inst = special_constants(g, alpha=adpQ.alpha, r=adpQ.r)
         pair_s = grad_adapters_special(inst, g.WQstar, adpQ)
         assert np.abs(pair_q.GA - pair_s.GA).max() <= 1e-10
         assert np.abs(pair_q.GB - pair_s.GB).max() <= 1e-10

@@ -7,25 +7,21 @@ import numpy as np
 import pytest
 
 from lora_kernels import instrument
-from lora_kernels.attention import adapted_weight, forward_output, scores
+from lora_kernels.attention import adapted_weight, forward_output, loss, scores
 from lora_kernels.errors import (
     DimensionError,
     NonFiniteError,
-    NormBoundError,
     ScoreOverflowError,
 )
 from lora_kernels.exact import grad_adapters_special
 from lora_kernels.harness import (
     BENCH_HEADER,
     SWEEP_HEADER,
-    ReductionInstance,
     SweepResult,
     bench_scaling,
     embed_attlgc,
     gen_instance,
     gen_reduction,
-    reduction_loss,
-    reduction_output,
     sweep_gamma,
 )
 from lora_kernels.lowrank import PolyApproxConfig, monomial_count, select_degree
@@ -179,13 +175,14 @@ class TestSweepGamma:
 
 class TestReduction:
     def test_gen_determinism_and_norms(self):
-        a = gen_reduction(4, 8, 2, 1.0)
-        b = gen_reduction(4, 8, 2, 1.0)
-        assert np.array_equal(a.A1, b.A1)
-        assert np.array_equal(a.X, b.X)
-        assert abs(np.abs(a.A1 @ a.X).max() - 1.0) <= 1e-12
-        assert abs(np.abs(a.A2).max() - 1.0) <= 1e-12
-        assert np.all(a.E == 0.0)
+        a, Xa = gen_reduction(4, 8, 2, 1.0)
+        b, Xb = gen_reduction(4, 8, 2, 1.0)
+        assert np.array_equal(a.C1, b.C1)
+        assert np.array_equal(Xa, Xb)
+        assert abs(np.abs(a.C1 @ Xa).max() - 1.0) <= 1e-12
+        # C2 = A2 / r_red, and ||A2||_inf is the bound.
+        assert abs(np.abs(2 * a.C2).max() - 1.0) <= 1e-12
+        assert np.all(a.Y == 0.0)
 
     @pytest.mark.parametrize("L, r_red", [(0, 2), (8, 0)])
     def test_gen_rejects_empty_sizes(self, L, r_red):
@@ -197,99 +194,81 @@ class TestReduction:
         with pytest.raises(ValueError, match="b_bound"):
             gen_reduction(4, 8, 2, b_bound)
 
-    def test_instance_validates_its_inputs(self):
-        ri = gen_reduction(4, 8, 2, 1.0)
-        parts = dict(A1=ri.A1, A2=ri.A2, A3=ri.A3, E=ri.E, X=ri.X, b_bound=1.0)
-        bad_A3 = ri.A3.copy()
-        bad_A3[0, 0] = math.nan
-        with pytest.raises(NonFiniteError, match="A3"):
-            ReductionInstance(**{**parts, "A3": bad_A3})
-        as_lists = ReductionInstance(**{**parts, "A1": ri.A1.tolist()})
-        assert np.array_equal(as_lists.A1, ri.A1)
-        for b_bound in (math.inf, -1.0, 0.0, math.nan):
-            with pytest.raises(ValueError, match="b_bound"):
-                ReductionInstance(**{**parts, "b_bound": b_bound})
-        empty = dict(A1=np.zeros((0, 2)), A2=np.zeros((0, 2)), A3=np.zeros((0, 2)),
-                     E=np.zeros((0, 2)), X=ri.X, b_bound=1.0)
-        with pytest.raises(DimensionError):
-            ReductionInstance(**empty)
-        with pytest.raises(DimensionError):
-            ReductionInstance(**{k: np.zeros((8, 0)) for k in ("A1", "A2", "A3", "E")},
-                              X=np.zeros((0, 0)), b_bound=1.0)
-
-    def test_invariant_violation_rejected(self):
-        ri = gen_reduction(4, 8, 2, 1.0)
-        with pytest.raises(NormBoundError):
-            ReductionInstance(
-                A1=ri.A1, A2=2.5 * ri.A2, A3=ri.A3, E=ri.E, X=ri.X, b_bound=1.0
-            )
-
     def test_output_shape_and_loss(self):
-        ri = gen_reduction(4, 8, 2, 1.0)
-        assert reduction_output(ri).shape == (8, 2)
-        assert reduction_loss(ri) >= 0.0
+        # The reduction's forward written out densely: rownorm(exp(C1 X C2.T)) C3.
+        red, X = gen_reduction(4, 8, 2, 1.0)
+        rng = np.random.default_rng(5)
+        red = dataclasses.replace(red, Y=rng.standard_normal((8, 2)))
+        E = np.exp(red.C1 @ X @ red.C2.T)
+        out = (E / E.sum(axis=1, keepdims=True)) @ red.C3
+        got = forward_output(red, X)
+        assert got.shape == (8, 2)
+        assert np.abs(got - out).max() <= 1e-14
+        want = 0.5 * float(((out - red.Y) ** 2).sum())
+        assert abs(loss(red, X) - want) <= 1e-14 * want
 
     def test_output_range_checks_its_scores(self):
         # Scores of about 1.5e307 are past exp's range: the embedded instance's
         # scores raise, and so must the reduction's own forward.
-        ri = gen_reduction(0, 64, 2, 0.5)
-        X = ri.X * 1e308
-        inst, adp = embed_attlgc(ri, 4)
+        red, X = gen_reduction(0, 64, 2, 0.5)
+        X = X * 1e308
+        inst, adp = embed_attlgc(red, X, 4)
         W = np.zeros((4, 4))
         W[:2, :2] = X
         with pytest.raises(ScoreOverflowError) as embedded:
             scores(inst, W)
         with pytest.raises(ScoreOverflowError) as info:
-            reduction_output(ri, X)
+            forward_output(red, X)
         assert info.value.max_abs_score == embedded.value.max_abs_score
 
     def test_embed_requires_room(self):
-        ri = gen_reduction(4, 8, 3, 1.0)
+        red, X = gen_reduction(4, 8, 3, 1.0)
         with pytest.raises(DimensionError):
-            embed_attlgc(ri, 2)
+            embed_attlgc(red, X, 2)
+
+    def test_embed_checks_X(self):
+        red, X = gen_reduction(4, 8, 2, 1.0)
+        with pytest.raises(DimensionError, match=r"^X must be of shape \(2, 2\)"):
+            embed_attlgc(red, np.zeros((2, 3)), 4)
+        bad = X.copy()
+        bad[1, 0] = math.nan
+        with pytest.raises(NonFiniteError, match="X"):
+            embed_attlgc(red, bad, 4)
 
     def test_embed_zero_X_pads_to_zero_adapter(self):
-        ri0 = gen_reduction(4, 6, 2, 1.0)
-        ri = ReductionInstance(
-            A1=ri0.A1,
-            A2=ri0.A2,
-            A3=ri0.A3,
-            E=ri0.E,
-            X=np.zeros((2, 2)),
-            b_bound=1.0,
-        )
-        inst, adp = embed_attlgc(ri, 4)
+        red, _ = gen_reduction(4, 6, 2, 1.0)
+        inst, adp = embed_attlgc(red, np.zeros((2, 2)), 4)
         assert np.all(adp.A == 0.0)
         assert np.array_equal(adp.B[:2, :], np.eye(2))
         assert np.all(adp.B[2:, :] == 0.0)
 
     def test_embed_output_subblock(self):
-        ri = gen_reduction(4, 6, 2, 1.0)
-        inst, adp = embed_attlgc(ri, 3)
+        red, X = gen_reduction(4, 6, 2, 1.0)
+        inst, adp = embed_attlgc(red, X, 3)
         W = adapted_weight(np.zeros((3, 3)), adp)
         out = forward_output(inst, W)
-        assert np.abs(out[:, :2] - reduction_output(ri)).max() <= 1e-12
+        assert np.abs(out[:, :2] - forward_output(red, X)).max() <= 1e-12
         assert np.abs(out[:, 2:]).max() <= 1e-14
 
     def test_embed_gradient_matches_reduction_loss(self):
-        ri = gen_reduction(4, 6, 2, 1.0)
-        inst, adp = embed_attlgc(ri, 3)
+        red, X = gen_reduction(4, 6, 2, 1.0)
+        inst, adp = embed_attlgc(red, X, 3)
         pair = grad_adapters_special(inst, np.zeros((3, 3)), adp)
-        fd = fd_grad(lambda X: reduction_loss(ri, X), ri.X)
+        fd = fd_grad(lambda Xp: loss(red, Xp), X)
         scale = max(1.0, float(np.abs(fd).max()))
         assert np.abs(pair.GA[:, :2] - fd).max() / scale <= 1e-5
         assert np.abs(pair.GA[:, 2:]).max() <= 1e-14
 
     def test_embed_carries_nonzero_targets(self):
-        # The generator always sets E = 0, but the embedding must stay
-        # loss-faithful for any targets: Y = [E | 0].
-        base = gen_reduction(13, 6, 2, 1.0)
+        # The generator always sets Y = 0, but the embedding must stay
+        # loss-faithful for any targets: the embedded Y is [Y | 0].
+        base, X = gen_reduction(13, 6, 2, 1.0)
         rng = np.random.default_rng(77)
-        ri = dataclasses.replace(base, E=rng.standard_normal((6, 2)))
-        inst, adp = embed_attlgc(ri, 3)
-        assert np.array_equal(inst.Y[:, :2], ri.E)
+        red = dataclasses.replace(base, Y=rng.standard_normal((6, 2)))
+        inst, adp = embed_attlgc(red, X, 3)
+        assert np.array_equal(inst.Y[:, :2], red.Y)
         assert np.abs(inst.Y[:, 2:]).max() == 0.0
         pair = grad_adapters_special(inst, np.zeros((3, 3)), adp)
-        fd = fd_grad(lambda X: reduction_loss(ri, X), ri.X)
+        fd = fd_grad(lambda Xp: loss(red, Xp), X)
         scale = max(1.0, float(np.abs(fd).max()))
         assert np.abs(pair.GA[:, :2] - fd).max() / scale <= 1e-5

@@ -23,7 +23,10 @@ FINITENESS_CHECKERS = {"errors", "oracle"}
 # attention.softmax_rows is the package's one softmax, and the one place its
 # normalization is deferred to (E, z); the oracle builds its own references.
 EXP_CALLERS = {"attention", "oracle"}
-# attention's compose functions are the one home of how a GeneralInstance
+# The forward pass's stages; every other module reaches them through
+# attention's forward_f, forward_output and loss, so there is one forward.
+FORWARD_STAGES = {"score_matrix", "softmax_rows", "normalize"}
+# attention.compose_general_constants is the one home of how a GeneralInstance
 # becomes a special-case problem, so only attention reads its frozen weights.
 FROZEN_WEIGHTS = {"WQstar", "WKstar", "WVstar"}
 WEIGHT_READERS = {"attention"}
@@ -132,6 +135,31 @@ def attribute_reads(path, names):
         and isinstance(node.ctx, ast.Load)
         and node.attr in names
     ]
+
+
+def forward_stage_uses(path):
+    """The forward stages a module imports or reads off another module."""
+    return imported_modules(path) & FORWARD_STAGES | set(
+        attribute_reads(path, FORWARD_STAGES)
+    )
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE_MODULES - {"attention"}))
+def test_forward_stages_are_used_by_no_other_module(module):
+    # A module that chains the stages itself is a second forward pass, free
+    # to drift from attention's normalization and range checks.
+    path = Path(lora_kernels.__file__).with_name(f"{module}.py")
+    assert forward_stage_uses(path) == set()
+
+
+def test_detects_a_forward_stage_use(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from . import attention\n"
+        "from .attention import forward_output, normalize, score_matrix\n"
+        "f = normalize(attention.softmax_rows(*score_matrix(L, R)))\n"
+    )
+    assert forward_stage_uses(src) == {"normalize", "score_matrix", "softmax_rows"}
 
 
 @pytest.mark.parametrize("module", sorted(PACKAGE_MODULES - WEIGHT_READERS))

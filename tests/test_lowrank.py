@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import BLOCK_ROWS, dense_q, fresh_python
+from conftest import BLOCK_ROWS, dense_q, fresh_python, special_constants
 from lora_kernels import attention, instrument, lowrank
 from lora_kernels.attention import (
     AttentionInstance,
@@ -19,7 +19,6 @@ from lora_kernels.attention import (
     LoraAdapter,
     adapted_weight,
     compose_general_constants,
-    compose_special_constants,
     forward_f,
     general_loss,
     q_from_c,
@@ -818,7 +817,7 @@ class TestApproxGeneral:
         gamma = 1.01 * self.measured_gamma(g, adpQ, adpK)
         cfg = PolyApproxConfig(gamma=gamma, degree=None, eps_target=1e-3)
         pair_q, _ = approx_grad_general(g, adpQ, adpK, cfg)
-        inst = compose_special_constants(g, alpha=adpQ.alpha, r=adpQ.r)
+        inst = special_constants(g, alpha=adpQ.alpha, r=adpQ.r)
         pair_s = approx_grad_special(inst, g.WQstar, adpQ, cfg)
         assert np.abs(pair_q.GA - pair_s.GA).max() <= 1e-12
         assert np.abs(pair_q.GB - pair_s.GB).max() <= 1e-12
