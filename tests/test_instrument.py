@@ -60,10 +60,24 @@ def general_problem(seed, L, d):
 
 
 def factored_side(L, d, g):
-    """Multiply-adds of one factored side up to dL/dW, before the projection."""
+    """Multiply-adds of one factored side up to dL/dW, before the projection.
+
+    Per row (g >= 1): C1 @ W, d^2; two feature maps, 2 (k1 - 1 + (g - 1) d);
+    the key sums K = V.T [C3 | 1], k1 (d + 1); the normalizers, k1, their
+    reciprocals, 1, and the scaling, k1; c, k1 d, and c - Y, d; the row
+    dots, 2 d; the two Khatri-Rao block builds, 2 d (d + 1); the query sums
+    X over all k1 columns and the key sums Z over the `top` top-degree
+    columns only, d (d + 1) each per column. Per call: Z's other `low`
+    rows read off K, d (d + 1) each, and the d x d contraction over
+    k1 (d + 1).
+    """
     k1 = monomial_count(d, g)
-    per_row = k1 * (2 * d * d + 4 * d + 4) + 3 * d * d + (2 * g + 3) * d - 2
-    return L * per_row + k1 * d * d * (d + 1)
+    low = monomial_count(d, g - 1)
+    top = k1 - low
+    per_row = (
+        k1 * (d * d + 3 * d + 5) + top * d * (d + 1) + 3 * d * d + (2 * g + 3) * d - 1
+    )
+    return L * per_row + low * d * (d + 1) + k1 * d * d * (d + 1)
 
 
 class TestMatmul:

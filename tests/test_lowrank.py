@@ -35,6 +35,7 @@ from lora_kernels.errors import (
 )
 from lora_kernels.exact import grad_adapters_general, grad_adapters_special
 from lora_kernels.lowrank import (
+    KeySums,
     KhatriRaoFactor,
     LowRankFactor,
     PolyApproxConfig,
@@ -214,6 +215,71 @@ class TestFactorContainer:
         lr = LowRankFactor(U=np.zeros((3, 7)), V=np.zeros((3, 7)))
         assert lr.k == 7
         assert lr.L == 3
+
+
+class TestKeySums:
+    def key_sums(self, rng, L, d, g):
+        C2, C3 = 0.5 * rng.standard_normal((2, L, d))
+        V = phi(C2, g)
+        ext = np.hstack([C3, np.ones((L, 1))])
+        return KeySums(V.T @ ext, C2, C3, g), V, ext
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("g", [0, 1, 2, 3, 5])
+    def test_rows_below_top_are_the_whole_key_sums(self, rng, d, g):
+        # Every column below the top degree, and no other, is read off K;
+        # its rows must be those of the whole Khatri-Rao product
+        # Z = V.T (C2 ck [C3 | 1]) over L.
+        keys, V, ext = self.key_sums(rng, 30, d, g)
+        want = np.einsum("ls,la,lt->sat", V, keys.C2, ext).reshape(V.shape[1], -1)
+        got = keys.rows_below_top()
+        low = monomial_count(d, g - 1) if g else 0
+        assert got.shape == (low, d * (d + 1))
+        err = np.abs(got - want[:low]).max(initial=0.0)
+        assert err <= 1e-13 * np.abs(want).max()
+
+    def test_poly_factor_carries_its_key_sums(self):
+        inst, adp, Wstar = gen_instance(5, 40, 3, 2, 0.5)
+        cfg = PolyApproxConfig(gamma=0.5, degree=3, eps_target=1e-3)
+        f_lr = approx_f_poly(inst, adapted_weight(Wstar, adp), cfg)
+        keys = f_lr.keys_for(inst)
+        assert keys.C2 is inst.C2 and keys.C3 is inst.C3 and keys.degree == 3
+        want = f_lr.V.T @ np.hstack([inst.C3, np.ones((inst.L, 1))])
+        assert np.abs(keys.K - want).max() <= 1e-13 * np.abs(want).max()
+
+    def poly_case(self, seed):
+        inst, adp, Wstar = gen_instance(seed, 300, 4, 2, 0.5)
+        cfg = PolyApproxConfig(gamma=0.5, degree=4, eps_target=1e-3)
+        f_lr = approx_f_poly(inst, adapted_weight(Wstar, adp), cfg)
+        return inst, f_lr, LowRankFactor(U=f_lr.U, V=f_lr.V)
+
+    def test_keyed_gradient_matches_the_generic_path(self):
+        # The same U and V without key sums take M and every row of Z from
+        # products over L. The keyed path skips V.T @ C3 and the rows below
+        # the top degree of Z, and reads those rows off K instead.
+        inst, f_lr, generic = self.poly_case(7)
+        L, d = inst.C1.shape
+        with instrument.recording() as keyed_tally:
+            keyed = lowrank._grad_W(f_lr, inst)
+        with instrument.recording() as generic_tally:
+            want = lowrank._grad_W(generic, inst)
+        assert np.abs(keyed - want).max() <= 1e-13 * np.abs(want).max()
+        low = monomial_count(d, f_lr.keys.degree - 1)
+        saved = L * f_lr.k * d + low * (L - 1) * d * (d + 1)
+        assert generic_tally.madds - keyed_tally.madds == saved
+
+    @pytest.mark.parametrize("field", ["C2", "C3"])
+    def test_key_sums_of_another_instance_are_never_used(self, field):
+        # Key sums meet another instance's C2 or C3, equal in value or not:
+        # the chain must be the generic one, bit for bit.
+        inst, f_lr, generic = self.poly_case(9)
+        old = getattr(inst, field)
+        for new in (old.copy(), 0.5 * old[::-1]):
+            other = dataclasses.replace(inst, **{field: new})
+            assert f_lr.keys_for(other) is None
+            assert np.array_equal(approx_q(f_lr, other)[1], approx_q(generic, other)[1])
+            got = lowrank._grad_W(f_lr, other)
+            assert np.array_equal(got, lowrank._grad_W(generic, other))
 
 
 class TestPolyBackend:
@@ -491,14 +557,17 @@ class TestFactoredChain:
         # The sandwich walks blocks of BLOCK_ROWS rows here, the last ragged.
         # Blocked, it must still give C1.T @ dense().T @ C2 and charge the
         # unblocked cost: each L x d kB Khatri-Rao operand, each kA x L by
-        # L x d kB product, and the d x d contraction over kA kB.
+        # L x d kB product, and the d x d contraction over kA kB. The kB
+        # columns come as two groups, the second subtracted, as in p1 - p2.
         d, kA, kB = 3, 5, 4
         monkeypatch.setattr(attention, "BLOCK_ELEMENTS", BLOCK_ROWS * d * kB)
         monkeypatch.setattr(lowrank, "_MIN_BLOCK_ROWS", 1)
         A, C = rng.standard_normal((2, L, kA))
         B, D = rng.standard_normal((2, L, kB))
         C1, C2 = rng.standard_normal((2, L, d))
-        M = KhatriRaoFactor(A=A, B=B, C=C, D=D)
+        M = KhatriRaoFactor(
+            A=A, B=(B[:, :3], B[:, 3:]), C=C, D=(D[:, :3], D[:, 3:]), signs=(1.0, -1.0)
+        )
         with instrument.recording() as tally:
             got = M.sandwich(C1, C2)
         assert np.abs(got - C1.T @ M.dense().T @ C2).max() <= 1e-12
@@ -512,7 +581,7 @@ class TestFactoredChain:
         A, C = rng.standard_normal((2, L, kA))
         B, D = rng.standard_normal((2, L, d + 1))
         C1, C2 = rng.standard_normal((2, L, d))
-        M = KhatriRaoFactor(A=A, B=B, C=C, D=D)
+        M = KhatriRaoFactor(A=A, B=(B,), C=C, D=(D,))
         calls = []
         matmul = instrument.matmul
 
@@ -677,24 +746,33 @@ class TestApproxGradients:
         assert tally.max_alloc <= max(64 * k3, 64 * 4)
 
     def test_peak_is_the_factor_and_thin_buffers(self):
-        # Past the factor's 2 k1 L floats, a call holds O(L d) floats and one
-        # sandwich block. The O(L d) floats are c's d x L buffer, r, and the
-        # fused p factor's L x (d + 1) columns [C3 | 1] and [c | -r], in all
-        # 3 (d + 1) L, allowed 4 (d + 1) L; the block is BLOCK_ELEMENTS
-        # floats. A whole L x d (d + 1) Khatri-Rao operand, 20 L floats
-        # here, does not fit in what is left.
+        # Past the factor, the chain holds c's d x L buffer, r and one
+        # sandwich block: (d + 1) L + BLOCK_ELEMENTS floats, allowed one L
+        # more for the small arrays. The column groups [C3 | 1] and [c | -r]
+        # are read where they are; a copy of either, 5 L floats here, or a
+        # whole L x d (d + 1) Khatri-Rao operand, 20 L, does not fit. The
+        # call's peak is then the feature map of C1 @ W: the factor's
+        # 2 k1 L floats, C1 @ W's d L and the map's g d L step buffer,
+        # allowed one L more.
         L, d, g = 16384, 4, 3
         k1 = monomial_count(d, g)
         inst, adp, Wstar = gen_instance(0, L, d, 2, 0.25)
         cfg = PolyApproxConfig(gamma=0.25, degree=g, eps_target=1e-3)
-        tracemalloc.start()
-        try:
-            approx_grad_special(inst, Wstar, adp, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        floats = 2 * k1 * L + 4 * (d + 1) * L + attention.BLOCK_ELEMENTS
-        assert peak <= 8 * floats
+        f_lr = approx_f_poly(inst, adapted_weight(Wstar, adp), cfg)
+        peaks = []
+        for call in (
+            lambda: grad_from_f_factor(f_lr, inst, adp),
+            lambda: approx_grad_special(inst, Wstar, adp, cfg),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        chain, whole = peaks
+        assert chain <= 8 * ((d + 2) * L + attention.BLOCK_ELEMENTS)
+        assert whole <= 8 * (2 * k1 * L + (g + 1) * d * L + L)
 
     def test_registered_peak_is_one_feature_map(self):
         # p1 is contracted in place, so nothing larger than one L x k1
